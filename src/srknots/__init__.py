@@ -10,11 +10,9 @@ from .laurent import (
     LaurentPoly,
     NormalForm,
     PolyParseError,
-    add,
     divide_exact,
     equal_up_to_unit,
     eval_int,
-    mul,
     normalize,
     parse,
     substitute_inverse,

@@ -43,12 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="srknots",
         description="Exact Alexander-polynomial toolkit for simple-ribbon knots.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on worker threads for table verification (default 1)",
-    )
     groups = parser.add_subparsers(dest="group", required=True)
 
     poly = groups.add_parser("poly", help="Laurent polynomial operations")
@@ -234,7 +228,7 @@ def _cmd_nt(args) -> int:
 
 def _cmd_table(args) -> int:
     records = corpus_mod.load_corpus(args.corpus)
-    reports = corpus_mod.verify_corpus(records, threads=max(1, args.threads))
+    reports = corpus_mod.verify_corpus(records)
     passed = 0
     for report in reports:
         fact = "n/a" if report.factorization_ok is None else _ok(report.factorization_ok)

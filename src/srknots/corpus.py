@@ -189,11 +189,6 @@ def verify_record(record: KnotRecord) -> RecordReport:
     )
 
 
-def verify_corpus(records: Sequence[KnotRecord], threads: int = 1) -> list[RecordReport]:
+def verify_corpus(records: Sequence[KnotRecord]) -> list[RecordReport]:
     """Verify every record; order of reports matches the input order."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(verify_record, records))
     return [verify_record(r) for r in records]

@@ -25,14 +25,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 __all__ = [
     "LaurentPoly",
     "NormalForm",
     "PolyParseError",
-    "add",
-    "mul",
     "substitute_inverse",
     "normalize",
     "equal_up_to_unit",
@@ -40,11 +38,6 @@ __all__ = [
     "divide_exact",
     "parse",
 ]
-
-# Above this combined span, multiplication keeps the sparse dict path instead
-# of densifying (protects against huge shifted supports).
-_DENSE_LIMIT = 4096
-
 
 class PolyParseError(ValueError):
     """Malformed polynomial text; `position` is the character offset."""
@@ -93,11 +86,6 @@ class LaurentPoly:
     def var(cls) -> "LaurentPoly":
         """The polynomial t."""
         return _T
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int], val: int = 0) -> "LaurentPoly":
-        """Build from a dense coefficient list starting at exponent `val`."""
-        return cls({val + i: c for i, c in enumerate(coeffs)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -212,30 +200,14 @@ class LaurentPoly:
             return out
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self._terms or not other._terms:
-            return _ZERO
-        if self.span + other.span <= _DENSE_LIMIT:
-            av, ac = self._dense()
-            bv, bc = other._dense()
-            out = [0] * (len(ac) + len(bc) - 1)
-            for i, x in enumerate(ac):
-                if x:
-                    for j, y in enumerate(bc):
-                        if y:
-                            out[i + j] += x * y
-            return LaurentPoly._from_dense(av + bv, out)
+        # Term-pair products; cost follows the term counts, not the spans.
         data: dict[int, int] = {}
+        get = data.get
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
                 e = ea + eb
-                s = data.get(e, 0) + ca * cb
-                if s:
-                    data[e] = s
-                elif e in data:
-                    del data[e]
-        out_poly = LaurentPoly()
-        object.__setattr__(out_poly, "_terms", data)
-        return out_poly
+                data[e] = get(e, 0) + ca * cb
+        return LaurentPoly(data)
 
     __rmul__ = __mul__
 
@@ -325,16 +297,6 @@ class NormalForm:
 # -- module-level operations ------------------------------------------------
 
 
-def add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact sum."""
-    return a + b
-
-
-def mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact product."""
-    return a * b
-
-
 def substitute_inverse(p: LaurentPoly) -> LaurentPoly:
     """t -> 1/t, term by term."""
     return p.substitute_inverse()
@@ -388,6 +350,13 @@ def divide_exact(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return _ZERO
+    if len(b._terms) == 1:
+        # Term by term, so a sparse dividend of huge span is never densified.
+        # Bareiss divides by 1 at its first step and often by monomial pivots.
+        ((e, c),) = b._terms.items()
+        if any(x % c for x in a._terms.values()):
+            return None
+        return LaurentPoly({k - e: x // c for k, x in a._terms.items()})
     av, ac = a._dense()
     bv, bc = b._dense()
     la, lb = len(ac), len(bc)

@@ -54,7 +54,7 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin, deterministic for n below ~3.3e24; fixed-seed rounds above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -145,7 +145,7 @@ class FactorSet:
     primes: Tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _prime_support(n: int) -> Tuple[int, ...]:
     return tuple(sorted(factorize(n)))
 

@@ -33,7 +33,6 @@ __all__ = [
     "FusionSigns",
     "SeifertBlocks",
     "SeifertMatrix",
-    "VALUE_TABLE",
     "value_row",
     "build_blocks",
     "parse_matrix",
@@ -130,24 +129,6 @@ def _as_poly(x: Union[int, LaurentPoly]) -> LaurentPoly:
     return LaurentPoly.constant(x) if isinstance(x, int) else x
 
 
-def _cofactor_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = LaurentPoly.zero()
-    for j, entry in enumerate(rows[0]):
-        if entry.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = entry * _cofactor_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
 def _bareiss_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     n = len(rows)
     M = [row[:] for row in rows]
@@ -173,6 +154,8 @@ def _bareiss_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
             head = row_i[k]
             row_k = M[k]
             for j in range(k + 1, n):
+                if row_i[j].is_zero and (head.is_zero or row_k[j].is_zero):
+                    continue
                 num = pivot * row_i[j] - head * row_k[j]
                 q = divide_exact(num, prev)
                 if q is None:
@@ -202,8 +185,11 @@ def parse_matrix(text: str) -> list[list[LaurentPoly]]:
 def symbolic_det(matrix: Sequence[Sequence[Union[int, LaurentPoly]]]) -> LaurentPoly:
     """Exact determinant of a square matrix with Laurent polynomial entries.
 
-    Cofactor expansion up to 4x4, fraction-free elimination with exact
-    divisions above that.
+    Every size goes through fraction-free (Bareiss) elimination: each step
+    replaces an entry by (pivot * entry - head * pivot-row entry) divided
+    exactly by the previous pivot, so no fractions arise and intermediate
+    entries stay polynomials.  Pivots are the lowest-span nonzero entries of
+    their column, and a row swap flips the sign.
     """
     rows = [[_as_poly(x) for x in row] for row in matrix]
     n = len(rows)
@@ -211,8 +197,6 @@ def symbolic_det(matrix: Sequence[Sequence[Union[int, LaurentPoly]]]) -> Laurent
         raise ValueError("matrix must be square")
     if n == 0:
         return LaurentPoly.one()
-    if n <= 4:
-        return _cofactor_det(rows)
     return _bareiss_det(rows)
 
 
@@ -238,13 +222,6 @@ def det_Q_minus_tPT(signs: FusionSigns) -> LaurentPoly:
 
 
 # -- closed forms ------------------------------------------------------------
-
-# Per-sign scalar and polynomial values: sign -> (a, b, c, d, e_poly).
-VALUE_TABLE = {
-    1: (1, 0, LaurentPoly({0: 1}), LaurentPoly({1: -1}), LaurentPoly({0: 1, 1: -1})),
-    -1: (0, -1, LaurentPoly({1: 1}), LaurentPoly({0: -1}), LaurentPoly({0: -1, 1: 1})),
-}
-
 
 def value_row(sign: int) -> tuple[int, int, LaurentPoly, LaurentPoly, LaurentPoly]:
     """(a, b, c, d, e) from the defining formulas a=(s+1)/2, b=(s-1)/2,

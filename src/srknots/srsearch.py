@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from .invariants import delta2, is_pm_power_product, symmetry_check
@@ -70,9 +71,7 @@ class _Candidate:
     at_2: int
 
 
-_candidate_cache: dict[int, tuple[_Candidate, ...]] = {}
-
-
+@lru_cache(maxsize=64)
 def _candidates(max_span: int) -> tuple[_Candidate, ...]:
     """All parameters with 2 <= factor_span <= max_span, in canonical order.
 
@@ -82,9 +81,6 @@ def _candidates(max_span: int) -> tuple[_Candidate, ...]:
     """
     if max_span < 2:
         return ()
-    cached = _candidate_cache.get(max_span)
-    if cached is not None:
-        return cached
     budget = max_span // 2
     found = []
     for m in range(1, budget + 2):
@@ -102,9 +98,7 @@ def _candidates(max_span: int) -> tuple[_Candidate, ...]:
                         )
                     )
     found.sort(key=lambda c: c.params)
-    result = tuple(found)
-    _candidate_cache[max_span] = result
-    return result
+    return tuple(found)
 
 
 def decompose(dp: NormalForm) -> list[SRDecomposition]:
@@ -153,7 +147,8 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
     peel(target, abs(eval_int(target, -1)), eval_int(target, 2), 0, [])
     results.sort(key=lambda d: d.factors)
     for dec in results:
-        assert equal_up_to_unit(product_formula(LaurentPoly.one(), dec).poly, target)
+        if not equal_up_to_unit(product_formula(LaurentPoly.one(), dec).poly, target):
+            raise ArithmeticError(f"certificate {dec} does not regenerate {target}")
     return results
 
 

@@ -11,7 +11,7 @@ import time
 
 from srknots.corpus import load_corpus
 from srknots.invariants import delta2, knot_det
-from srknots.laurent import LaurentPoly, equal_up_to_unit, mul, normalize
+from srknots.laurent import LaurentPoly, equal_up_to_unit, normalize
 from srknots.seifert import (
     FusionSigns,
     SeifertMatrix,
@@ -160,7 +160,7 @@ def test_fusion_factor_consistency():
             whole = alexander_from_seifert(assembled).poly
         except ValueError:
             continue  # genus block with vanishing determinant; redraw
-        expected = mul(mul(base, det_P_minus_tQT(signs)), det_Q_minus_tPT(signs))
+        expected = base * det_P_minus_tQT(signs) * det_Q_minus_tPT(signs)
         if not equal_up_to_unit(whole, expected):
             failures.append(f"trial {trials}: assembled determinant mismatch")
         trials += 1

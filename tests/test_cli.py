@@ -147,11 +147,6 @@ class TestTableCommand:
         assert code == 0
         assert out.strip().splitlines()[-1] == "verified=25/25"
 
-    def test_threaded_verify_matches_sequential(self, capsys):
-        _, sequential, _ = run(capsys, "table", "verify")
-        _, threaded, _ = run(capsys, "--threads", "4", "table", "verify")
-        assert threaded == sequential
-
     def test_verify_failing_corpus(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("k|no|3|5|2 - 5*t + 2*t^2|\n", encoding="utf-8")
@@ -178,6 +173,11 @@ class TestUsageErrors:
     def test_missing_required_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["sr", "factor", "--m", "2"])
+        assert err.value.code == 2
+
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--threads", "4", "table", "verify"])
         assert err.value.code == 2
 
 

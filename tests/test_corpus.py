@@ -128,6 +128,3 @@ class TestVerifyCorpus:
     def test_full_table_passes(self, records):
         reports = verify_corpus(records)
         assert all(r.passed for r in reports)
-
-    def test_threaded_verification_matches(self, records):
-        assert verify_corpus(records, threads=4) == verify_corpus(records)

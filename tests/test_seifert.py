@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from srknots.laurent import LaurentPoly, equal_up_to_unit, mul, parse
+from srknots.laurent import LaurentPoly, equal_up_to_unit, parse
 from srknots.seifert import (
-    VALUE_TABLE,
     FusionSigns,
     SeifertMatrix,
     alexander_from_fusion,
@@ -43,8 +42,14 @@ class TestFusionSigns:
 
 class TestValueTable:
     def test_hardcoded_rows_match_defining_formulas(self):
+        rows = {
+            1: (1, 0, LaurentPoly({0: 1}), LaurentPoly({1: -1}), LaurentPoly({0: 1, 1: -1})),
+            -1: (0, -1, LaurentPoly({1: 1}), LaurentPoly({0: -1}), LaurentPoly({0: -1, 1: 1})),
+        }
         for s in (1, -1):
-            assert VALUE_TABLE[s] == value_row(s)
+            assert value_row(s) == rows[s]
+        with pytest.raises(ValueError):
+            value_row(0)
 
     def test_row_contents(self):
         a, b, c, d, e = value_row(1)
@@ -94,19 +99,29 @@ class TestSymbolicDet:
         with pytest.raises(ValueError):
             symbolic_det([[LaurentPoly.one()], [LaurentPoly.one(), LaurentPoly.zero()]])
 
-    def test_matches_cofactor_expansion_on_random_5x5(self):
-        from srknots.seifert import _cofactor_det
-
-        rng = random.Random(11)
-        for _ in range(15):
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_sympy_det_on_random_matrices(self, n):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(100 + n)
+        for _ in range(4):
+            # About a third of the entries are zero, as in the fusion pencils.
             m = [
                 [
                     LaurentPoly({e: rng.randrange(-3, 4) for e in range(-1, 2)})
-                    for _ in range(5)
+                    if rng.random() < 0.67
+                    else LaurentPoly.zero()
+                    for _ in range(n)
                 ]
-                for _ in range(5)
+                for _ in range(n)
             ]
-            assert symbolic_det(m) == _cofactor_det(m)
+            # Multiplying every entry by t makes them polynomials and the det t^n times larger.
+            shifted = sympy.Matrix(
+                [[sum(c * t ** (e + 1) for e, c in x.items()) for x in row] for row in m]
+            )
+            expected = sympy.Poly(shifted.det(method="domain-ge"), t).as_dict()
+            got = LaurentPoly({k - n: int(c) for (k,), c in expected.items()})
+            assert symbolic_det(m) == got
 
     def test_singular_matrix(self):
         row = [parse("1 + t"), parse("2 - t"), parse("t"), parse("1"), parse("3")]
@@ -201,7 +216,7 @@ class TestAssembledSeifertMatrix:
             )
             results.add(alexander_from_seifert(assembled).poly)
         assert len(results) == 1
-        expected = mul(parse("1 - t + t^2"), parse("2 - 5*t + 2*t^2"))
+        expected = parse("1 - t + t^2") * parse("2 - 5*t + 2*t^2")
         assert equal_up_to_unit(results.pop(), expected)
 
     def test_assemble_validates_shapes(self):
@@ -231,6 +246,6 @@ class TestAssembledSeifertMatrix:
                 whole = alexander_from_seifert(assembled).poly
             except ValueError:
                 continue  # degenerate genus block with vanishing determinant
-            product = mul(mul(base, det_P_minus_tQT(signs)), det_Q_minus_tPT(signs))
+            product = base * det_P_minus_tQT(signs) * det_Q_minus_tPT(signs)
             assert equal_up_to_unit(whole, product)
             trials += 1

@@ -4,7 +4,6 @@ from srknots.laurent import (
     LaurentPoly,
     eval_int,
     equal_up_to_unit,
-    mul,
     normalize,
     parse,
     substitute_inverse,
@@ -77,7 +76,7 @@ class TestSymmetricFactor:
     def test_raw_product_evaluates_to_one_at_one(self):
         for prm in grid(6, 6):
             f = f_factor(prm)
-            raw = mul(f, substitute_inverse(f))
+            raw = f * substitute_inverse(f)
             assert eval_int(raw, 1) == 1, prm
 
     def test_reciprocal_symmetry(self):
@@ -106,7 +105,7 @@ class TestProductFormula:
     def test_nontrivial_base_squares(self):
         base = parse("2 - 5*t + 2*t^2")
         got = product_formula(base, SRDecomposition((SRParams(2, 0, 0),)))
-        assert got.poly == normalize(mul(base, base)).poly
+        assert got.poly == normalize(base * base).poly
 
     def test_zero_base_rejected(self):
         with pytest.raises(ValueError):
@@ -133,23 +132,23 @@ class TestGHFactors:
         g, h = gh_factors(SRParams(1, 0, 0))
         assert g == parse("t")
         assert h == parse("1")
-        assert mul(g, h) == parse("t")
+        assert g * h == parse("t")
 
     def test_quartic_case(self):
         # Both halves equal t - (t-1)^2 exactly when p + l = 1 with p even.
         g, h = gh_factors(SRParams(2, 1, 0))
         assert g == h == parse("-1 + 3*t - t^2")
-        assert mul(g, h) == parse("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
+        assert g * h == parse("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
 
     def test_product_matches_symmetric_factor_on_grid(self):
         for prm in grid(6, 6):
             g, h = gh_factors(prm)
-            assert equal_up_to_unit(mul(g, h), F_factor(prm).poly), prm
+            assert equal_up_to_unit(g * h, F_factor(prm).poly), prm
 
     def test_values_at_two_split_the_factor(self):
         for prm in grid(4, 4):
             g, h = gh_factors(prm)
-            raw = mul(g, h)
+            raw = g * h
             assert eval_int(g, 2) * eval_int(h, 2) == eval_int(raw, 2), prm
 
 

@@ -1,9 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from srknots.laurent import LaurentPoly, mul, normalize, parse
+import srknots
+from srknots import numtheory, srsearch
+from srknots.laurent import LaurentPoly, normalize, parse
 from srknots.srpoly import SRDecomposition, SRParams, F_factor, factor_span, product_formula
 from srknots.srsearch import (
     DELTA2_ONE_QUARTIC,
@@ -57,7 +62,7 @@ class TestDecompose:
         polys = sorted(factors, key=lambda f: (f.span, str(f)))
         pairs = list(itertools.combinations_with_replacement(polys, 2))
         for fa, fb in pairs:
-            target = normalize(mul(fa, fb))
+            target = normalize(fa * fb)
             results = decompose(target)
             wanted = sorted([fa, fb], key=hash)
             recovered = [
@@ -99,7 +104,7 @@ class TestClassify:
 
     def test_quartic_power_passes_the_rigidity_gate(self):
         quartic = parse("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
-        squared = classify(normalize(mul(quartic, quartic)))
+        squared = classify(normalize(quartic * quartic))
         assert squared.verdict is Verdict.POLY_COMPATIBLE
 
     def test_trivial_polynomial_is_compatible(self):
@@ -158,3 +163,37 @@ class TestRoundTripProperty:
                 if len(d) == count
             ]
             assert wanted in recovered, [str(c) for c in chosen]
+
+
+class TestCertificateCheck:
+    def test_wrong_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(srsearch, "product_formula", lambda base, dec: NF("1 + t"))
+        with pytest.raises(ArithmeticError):
+            decompose(NF("2 - 5*t + 2*t^2"))
+
+    def test_check_runs_under_python_O(self):
+        script = "\n".join(
+            [
+                "import sys",
+                "from srknots import srsearch",
+                "from srknots.laurent import normalize, parse",
+                "if not sys.flags.optimize:",
+                "    sys.exit(2)",
+                "srsearch.product_formula = lambda base, dec: normalize(parse('1 + t'))",
+                "try:",
+                "    srsearch.decompose(normalize(parse('2 - 5*t + 2*t^2')))",
+                "except ArithmeticError:",
+                "    sys.exit(0)",
+                "sys.exit(1)",
+            ]
+        )
+        src = os.path.dirname(os.path.dirname(srknots.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+        assert done.returncode == 0
+
+
+def test_caches_are_bounded():
+    assert srsearch._candidates.cache_info().maxsize is not None
+    assert numtheory._prime_support.cache_info().maxsize is not None
