@@ -261,6 +261,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

@@ -8,7 +8,7 @@ normal forms.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .laurent import NormalForm, equal_up_to_unit, eval_int, substitute_inverse
 
@@ -35,46 +35,45 @@ def symmetry_check(dp: NormalForm) -> bool:
     return equal_up_to_unit(dp.poly, substitute_inverse(dp.poly))
 
 
-def _pm_candidates(n: int) -> list[int]:
-    # All values 2^s +- 1 in (1, n], largest first.  The factor 1 = 2^1 - 1
-    # is excluded so that factor chains strictly decrease.
-    out = set()
-    s = 0
-    while (1 << s) - 1 <= n:
-        for v in ((1 << s) - 1, (1 << s) + 1):
-            if 1 < v <= n:
-                out.add(v)
-        s += 1
-    return sorted(out, reverse=True)
+def _pm_divisors(n: int) -> Iterator[int]:
+    """The values 2^s +- 1 in (1, n] that divide n, largest first.
+
+    2^s + 1 for s >= 0 and 2^s - 1 for s >= 3 give each value once
+    (3 = 2^1 + 1 = 2^2 - 1); the factor 1 is excluded so that factor chains
+    strictly decrease.
+    """
+    for s in range(n.bit_length(), -1, -1):
+        for v in ((1 << s) + 1, (1 << s) - 1) if s >= 3 else ((1 << s) + 1,):
+            if v <= n and n % v == 0:
+                yield v
 
 
 def is_pm_power_product(n: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Whether n is a product of integers of the form 2^s +- 1, each > 1.
 
     Returns (flag, witness): the witness is one multiset of factors, largest
-    first, multiplying back to n; n = 1 gets the empty witness.
+    first, multiplying back to n; n = 1 gets the empty witness.  The search
+    is depth-first with an explicit stack, so deep factor chains cannot
+    exhaust the interpreter's recursion limit.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    candidates = _pm_candidates(n)
-    memo: dict[int, Optional[Tuple[int, ...]]] = {}
-
-    def search(k: int) -> Optional[Tuple[int, ...]]:
-        if k == 1:
-            return ()
-        if k in memo:
-            return memo[k]
-        found = None
-        for v in candidates:
-            if v > k:
-                continue
-            if k % v == 0:
-                sub = search(k // v)
-                if sub is not None:
-                    found = (v,) + sub
-                    break
-        memo[k] = found
-        return found
-
-    witness = search(n)
-    return witness is not None, witness
+    # A factor of any cofactor of n divides n, so n's list serves every node.
+    divisors = list(_pm_divisors(n))
+    dead: set[int] = set()  # cofactors known not to be such products
+    factors: list[int] = []
+    stack = [iter(divisors)]  # per cofactor on the path, its untried factors
+    k = n
+    while k != 1:
+        v = next(stack[-1], None)
+        if v is None:
+            dead.add(k)
+            stack.pop()
+            if not factors:
+                return False, None
+            k *= factors.pop()
+        elif k // v not in dead:
+            factors.append(v)
+            k //= v
+            stack.append(iter([w for w in divisors if w <= k and k % w == 0]))
+    return True, tuple(factors)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Mapping, Optional, Union
 
 __all__ = [
@@ -52,19 +53,21 @@ class LaurentPoly:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Optional[Mapping[int, int]] = None):
-        data: dict[int, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    data[e] = c
-        object.__setattr__(self, "_terms", data)
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, terms: Optional[Mapping[int, int]] = None):
+        return cls._adopt({e: c for e, c in terms.items() if c} if terms else {})
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _adopt(cls, terms: dict[int, int]) -> "LaurentPoly":
+        """Wrap `terms` without copying; it must hold no zero coefficients."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        object.__setattr__(out, "_hash", None)
+        return out
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -124,17 +127,6 @@ class LaurentPoly:
         """A copy of the sparse exponent -> coefficient map."""
         return dict(self._terms)
 
-    def _dense(self) -> tuple[int, list[int]]:
-        v = min(self._terms)
-        arr = [0] * (max(self._terms) - v + 1)
-        for e, c in self._terms.items():
-            arr[e - v] = c
-        return v, arr
-
-    @classmethod
-    def _from_dense(cls, val: int, coeffs: list[int]) -> "LaurentPoly":
-        return cls({val + i: c for i, c in enumerate(coeffs) if c})
-
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -168,16 +160,12 @@ class LaurentPoly:
                 data[e] = s
             elif e in data:
                 del data[e]
-        out = LaurentPoly()
-        object.__setattr__(out, "_terms", data)
-        return out
+        return LaurentPoly._adopt(data)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly()
-        object.__setattr__(out, "_terms", {e: -c for e, c in self._terms.items()})
-        return out
+        return LaurentPoly._adopt({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: Union[int, "LaurentPoly"]) -> "LaurentPoly":
         if isinstance(other, int):
@@ -193,11 +181,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
-            out = LaurentPoly()
-            object.__setattr__(
-                out, "_terms", {e: c * other for e, c in self._terms.items()}
-            )
-            return out
+            return LaurentPoly._adopt({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         # Term-pair products; cost follows the term counts, not the spans.
@@ -227,15 +211,11 @@ class LaurentPoly:
         """Multiply by t^k."""
         if k == 0:
             return self
-        out = LaurentPoly()
-        object.__setattr__(out, "_terms", {e + k: c for e, c in self._terms.items()})
-        return out
+        return LaurentPoly._adopt({e + k: c for e, c in self._terms.items()})
 
     def substitute_inverse(self) -> "LaurentPoly":
         """Replace t by 1/t term by term (an involution)."""
-        out = LaurentPoly()
-        object.__setattr__(out, "_terms", {-e: c for e, c in self._terms.items()})
-        return out
+        return LaurentPoly._adopt({-e: c for e, c in self._terms.items()})
 
     # -- printing ----------------------------------------------------------
 
@@ -260,11 +240,9 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-_ZERO = LaurentPoly.__new__(LaurentPoly)
-object.__setattr__(_ZERO, "_terms", {})
-object.__setattr__(_ZERO, "_hash", None)
-_ONE = LaurentPoly({0: 1})
-_T = LaurentPoly({1: 1})
+_ZERO = LaurentPoly._adopt({})
+_ONE = LaurentPoly._adopt({0: 1})
+_T = LaurentPoly._adopt({1: 1})
 
 
 @dataclass(frozen=True)
@@ -332,53 +310,51 @@ def eval_int(p: LaurentPoly, x: int) -> Union[int, Fraction]:
         return p.coeff(0)
     if p.is_zero:
         return 0
-    if p.min_exp >= 0:
-        total = 0
-        for e, c in p._terms.items():
-            total += c * x**e
-        return total
-    fx = Fraction(x)
-    acc = Fraction(0)
+    # One integer pass over t^-v * p, then a single division by x^-v.
+    v = min(p.min_exp, 0)
+    total = 0
     for e, c in p._terms.items():
-        acc += c * fx**e
-    return acc
+        total += c * x ** (e - v)
+    return Fraction(total, x**-v) if v else total
 
 
 def divide_exact(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
-    """The exact quotient a / b over the Laurent ring, or None if b does not divide a."""
+    """The exact quotient a / b over the Laurent ring, or None if b does not divide a.
+
+    Sparse long division from the lowest term up: the work grows with the
+    terms that the quotient and the remainder hold, never with the spans.
+    """
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return _ZERO
-    if len(b._terms) == 1:
-        # Term by term, so a sparse dividend of huge span is never densified.
-        # Bareiss divides by 1 at its first step and often by monomial pivots.
-        ((e, c),) = b._terms.items()
-        if any(x % c for x in a._terms.values()):
-            return None
-        return LaurentPoly({k - e: x // c for k, x in a._terms.items()})
-    av, ac = a._dense()
-    bv, bc = b._dense()
-    la, lb = len(ac), len(bc)
-    if la < lb:
-        return None
-    lead = bc[0]
-    rem = list(ac)
-    nq = la - lb + 1
-    quot = [0] * nq
-    for i in range(nq):
-        r = rem[i]
-        if r == 0:
+    (low, lead), *rest = sorted(b._terms.items())
+    top = max(a._terms) - max(b._terms)  # highest exponent a quotient can have
+    rem = dict(a._terms)
+    pending = list(rem)  # a heap holding every exponent of rem, maybe twice
+    heapify(pending)
+    quot: dict[int, int] = {}
+    while rem:
+        e = heappop(pending)
+        r = rem.pop(e, 0)
+        if not r:
             continue
-        if r % lead:
+        q, bad = divmod(r, lead)
+        e -= low
+        if bad or e > top:
             return None
-        f = r // lead
-        quot[i] = f
-        for j in range(1, lb):
-            rem[i + j] -= f * bc[j]
-    if any(rem[nq:]):
-        return None
-    return LaurentPoly._from_dense(av - bv, quot)
+        quot[e] = q
+        # Every exponent touched lies above the one just removed.
+        for be, bc in rest:
+            k = e + be
+            s = rem.get(k, 0) - q * bc
+            if s:
+                if k not in rem:
+                    heappush(pending, k)
+                rem[k] = s
+            else:
+                rem.pop(k, None)
+    return LaurentPoly._adopt(quot)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -413,7 +389,7 @@ def parse(text: str) -> LaurentPoly:
     if not tokens:
         raise PolyParseError("empty polynomial text", 0)
     pos = 0
-    total = LaurentPoly.zero()
+    total: dict[int, int] = {}
     end = len(tokens)
 
     def peek():
@@ -437,44 +413,41 @@ def parse(text: str) -> LaurentPoly:
         take()
         return sign * val
 
-    def parse_term(sign: int) -> LaurentPoly:
+    def parse_term(sign: int) -> tuple[int, int]:
+        """(exponent, coefficient) of the next term."""
         kind, val, at = peek()
+        coeff = sign
         if kind == "int":
             take()
             coeff = sign * val
-            kind2, val2, _ = peek()
-            if kind2 == "op" and val2 == "*":
-                take()
-                kind3, _, at3 = peek()
-                if kind3 != "t":
-                    raise PolyParseError("expected 't' after '*'", at3)
-                take()
-                exp = 1
-                kind4, val4, _ = peek()
-                if kind4 == "op" and val4 == "^":
-                    take()
-                    exp = parse_exponent()
-                return LaurentPoly.monomial(coeff, exp)
-            return LaurentPoly.constant(coeff)
-        if kind == "t":
+            kind, val, _ = peek()
+            if kind != "op" or val != "*":
+                return 0, coeff
             take()
-            exp = 1
-            kind2, val2, _ = peek()
-            if kind2 == "op" and val2 == "^":
-                take()
-                exp = parse_exponent()
-            return LaurentPoly.monomial(sign, exp)
-        raise PolyParseError("expected a term", at)
+            kind, _, at = peek()
+            if kind != "t":
+                raise PolyParseError("expected 't' after '*'", at)
+        elif kind != "t":
+            raise PolyParseError("expected a term", at)
+        take()
+        exp = 1
+        kind, val, _ = peek()
+        if kind == "op" and val == "^":
+            take()
+            exp = parse_exponent()
+        return exp, coeff
 
     sign = 1
     kind, val, _ = peek()
     if kind == "op" and val == "-":
         take()
         sign = -1
-    total = total + parse_term(sign)
-    while pos < end:
+    while True:
+        exp, coeff = parse_term(sign)
+        total[exp] = total.get(exp, 0) + coeff
+        if pos == end:
+            return LaurentPoly(total)
         kind, val, at = take()
         if kind != "op" or val not in "+-":
             raise PolyParseError("expected '+' or '-' between terms", at)
-        total = total + parse_term(-1 if val == "-" else 1)
-    return total
+        sign = -1 if val == "-" else 1

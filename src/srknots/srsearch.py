@@ -67,13 +67,14 @@ class SRClassification:
 class _Candidate:
     params: SRParams
     poly: LaurentPoly  # normalized factor polynomial
+    span: int
     at_minus1: int     # |poly(-1)|, always >= 1
     at_2: int
 
 
 @lru_cache(maxsize=64)
 def _candidates(max_span: int) -> tuple[_Candidate, ...]:
-    """All parameters with 2 <= factor_span <= max_span, in canonical order.
+    """All parameters with 2 <= factor_span <= max_span, by span, then params.
 
     The span of f(t;m,l,p) is at least m - 1 and at least |p + l| - trivia,
     which bounds m and p + l once the span budget is fixed; the filter below
@@ -87,17 +88,19 @@ def _candidates(max_span: int) -> tuple[_Candidate, ...]:
         for p in range(m + 1):
             for s in range(min(m - budget, 0), max(budget, m) + 1):
                 prm = SRParams(m, s - p, p)
-                if 2 <= factor_span(prm) <= max_span:
+                span = factor_span(prm)
+                if 2 <= span <= max_span:
                     poly = F_factor(prm).poly
                     found.append(
                         _Candidate(
                             prm,
                             poly,
+                            span,
                             abs(eval_int(poly, -1)),
                             eval_int(poly, 2),
                         )
                     )
-    found.sort(key=lambda c: c.params)
+    found.sort(key=lambda c: (c.span, c.params))
     return tuple(found)
 
 
@@ -121,8 +124,8 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
             return
         for idx in range(start, len(cands)):
             cand = cands[idx]
-            if cand.poly.span > span:
-                continue
+            if cand.span > span:
+                break
             # Necessary divisibility at t = -1 and t = 2 prunes cheaply.
             if cur_det % cand.at_minus1:
                 continue

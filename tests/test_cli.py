@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import srknots
 from srknots.cli import main
 
 
@@ -29,6 +34,25 @@ class TestPolyCommands:
     def test_zero_poly_normalize_exits_1(self, capsys):
         code, _, err = run(capsys, "poly", "normalize", "--poly", "t - t")
         assert code == 1 and "error:" in err
+
+    def test_out_of_memory_is_a_clean_error(self):
+        resource = pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(srknots.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def limit_memory():
+            # 256 MiB of address space: 2^(10^11) cannot be built within it.
+            resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+
+        done = subprocess.run(
+            [sys.executable, "-c", "from srknots.cli import run; run()",
+             "poly", "eval", "--poly", "t^100000000000", "--at", "2"],
+            env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
 
 
 class TestSrCommands:

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -123,6 +125,17 @@ class TestPmPowerProduct:
                     if d2 >= 1:
                         ok, _ = is_pm_power_product(d2)
                         assert ok, (m, l, p, d2)
+
+    def test_chain_deeper_than_recursion_limit(self):
+        depth = len(inspect.stack(0))
+        limit = depth + 100
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            ok, witness = is_pm_power_product(9**limit)
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert ok and witness == (9,) * limit
 
     def test_against_enumeration_oracle(self):
         limit = 10**6

@@ -181,6 +181,52 @@ class TestDivideExact:
     def test_zero_dividend(self):
         assert divide_exact(LaurentPoly.zero(), P("1 + t")).is_zero
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_sympy_div(self, seed):
+        """divide_exact against sympy's division in Z[t] after clearing negative exponents.
+
+        b divides a in Z[t, 1/t] exactly when t^-min(b) * b divides
+        t^-min(a) * a in Z[t], because both then have a nonzero constant term.
+        """
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(seed)
+
+        def sparse(span, terms, low):
+            exps = {low, low + span} | {low + rng.randrange(span) for _ in range(terms)}
+            return LaurentPoly({e: rng.choice((-3, -2, -1, 1, 2, 5)) for e in exps})
+
+        def oracle(a, b):
+            pa = sympy.Poly.from_dict({(e - a.min_exp,): c for e, c in a.items()}, t, domain="ZZ")
+            pb = sympy.Poly.from_dict({(e - b.min_exp,): c for e, c in b.items()}, t, domain="ZZ")
+            q, r = sympy.div(pa, pb, auto=False)  # stay in Z[t]
+            if not r.is_zero:
+                return None
+            shift = a.min_exp - b.min_exp
+            return LaurentPoly({k + shift: int(c) for (k,), c in q.as_dict().items()})
+
+        cases = []
+        for _ in range(6):
+            a = sparse(rng.randrange(1, 12), 5, rng.randrange(-20, 20))
+            b = sparse(rng.randrange(1, 8), 4, rng.randrange(-20, 20))
+            ab = a * b
+            cases += [(ab, b), (ab + P(f"t^{rng.randrange(-25, 45)}"), b), (ab, a), (a, b)]
+            cases.append((ab, b * 2))  # a quotient over Q that is integral only if a is even
+            # A perturbed leading coefficient: a near miss, or a quotient over Q only.
+            cases.append((ab, b + LaurentPoly.monomial(rng.choice((1, 2)), b.max_exp)))
+        wide = 10**5
+        a = sparse(wide // 2, 3, -rng.randrange(wide))
+        b = sparse(wide // 2, 3, rng.randrange(wide))
+        ab = a * b
+        cases += [(ab, b), (ab, a)]
+        cases.append((ab + LaurentPoly.monomial(1, ab.max_exp - 1), b * 3))
+        outcomes = []
+        for dividend, divisor in cases:
+            expected = oracle(dividend, divisor)
+            assert divide_exact(dividend, divisor) == expected, (dividend, divisor)
+            outcomes.append(expected is None)
+        assert True in outcomes and False in outcomes
+
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             divide_exact(P("1"), LaurentPoly.zero())
@@ -199,11 +245,31 @@ class TestParse:
     def test_leading_minus(self):
         assert parse("-2*t + t^2").terms == {1: -2, 2: 1}
 
-    @pytest.mark.parametrize("bad", ["", "t^", "2 *", "1 + + 2", "x", "2**t", "F(1,2)"])
-    def test_malformed_input_reports_position(self, bad):
+    MALFORMED = [
+        ("", "empty polynomial text", 0),
+        ("t^", "expected an exponent after '^'", 2),
+        ("2 *", "expected 't' after '*'", 3),
+        ("1 + + 2", "expected a term", 4),
+        ("x", "unexpected character 'x'", 0),
+        ("2**t", "expected 't' after '*'", 2),
+        ("F(1,2)", "unexpected character 'F'", 0),
+        ("1 +", "expected a term", 3),
+        ("2*x", "unexpected character 'x'", 2),
+        ("3*", "expected 't' after '*'", 2),
+        ("1 2", "expected '+' or '-' between terms", 2),
+        ("--t", "expected a term", 1),
+        ("t^-", "expected an exponent after '^'", 3),
+        ("3*t^2 t", "expected '+' or '-' between terms", 6),
+    ]
+
+    @pytest.mark.parametrize(
+        "bad, message, position", MALFORMED, ids=[row[0] for row in MALFORMED]
+    )
+    def test_malformed_input_reports_position(self, bad, message, position):
         with pytest.raises(PolyParseError) as err:
             parse(bad)
-        assert err.value.position >= 0
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
     @given(polys)
     @settings(deadline=None)

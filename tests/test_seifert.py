@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -122,6 +123,26 @@ class TestSymbolicDet:
             expected = sympy.Poly(shifted.det(method="domain-ge"), t).as_dict()
             got = LaurentPoly({k - n: int(c) for (k,), c in expected.items()})
             assert symbolic_det(m) == got
+
+    def test_sparse_pivots_of_huge_span_stay_sparse(self):
+        # Bareiss divides by two-term pivots of span 10^6 here; dense exact
+        # division would allocate the whole span (72 MB).
+        n = 10**6
+        m = [
+            [parse(f"1 + t^{n}"), parse(f"2 + t^{n - 1}"), parse("3 - t")],
+            [parse(f"1 - t^{n}"), parse("1 + t^5"), parse(f"2 + t^{n}")],
+            [parse("3 + t"), parse(f"t - t^{n}"), parse(f"1 + t^{n - 2}")],
+        ]
+        (a, b, c), (d, e, f), (g, h, i) = m
+        expected = a * e * i + b * f * g + c * d * h + -1 * (c * e * g + a * f * h + b * d * i)
+        tracemalloc.start()
+        try:
+            got = symbolic_det(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 2**20
 
     def test_singular_matrix(self):
         row = [parse("1 + t"), parse("2 - t"), parse("t"), parse("1"), parse("3")]
