@@ -85,11 +85,6 @@ class LaurentPoly:
     def monomial(cls, coeff: int, exp: int) -> "LaurentPoly":
         return cls({exp: coeff})
 
-    @classmethod
-    def var(cls) -> "LaurentPoly":
-        """The polynomial t."""
-        return _T
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -242,7 +237,6 @@ class LaurentPoly:
 
 _ZERO = LaurentPoly._adopt({})
 _ONE = LaurentPoly._adopt({0: 1})
-_T = LaurentPoly._adopt({1: 1})
 
 
 @dataclass(frozen=True)

@@ -215,17 +215,12 @@ def scan_minus_match(A_max: int, m_max: int) -> list[tuple[int, int, int]]:
     """
     hits = []
     for A in range(2, A_max + 1):
-        supports = {e: _support_of(A**e - 1) for e in range(1, m_max + 1)}
+        supports = {e: _prime_support(A**e - 1) for e in range(1, m_max + 1)}
         for m in range(2, m_max + 1):
             for n in range(1, m):
                 if supports[m] == supports[n]:
                     hits.append((A, m, n))
     return hits
-
-
-def _support_of(x: int) -> Tuple[int, ...]:
-    # P(1) is the empty set.
-    return _prime_support(x) if x > 1 else ()
 
 
 def scan_base_match(
@@ -240,12 +235,12 @@ def scan_base_match(
     odd_hits = []
     even_hits = []
     for A in range(2, A_max + 1):
-        base = _support_of(A + 1)
+        base = _prime_support(A + 1)
         for p in range(3, exp_max + 1, 2):
-            if _support_of(A**p + 1) == base:
+            if _prime_support(A**p + 1) == base:
                 odd_hits.append((A, p))
         for q in range(2, exp_max + 1, 2):
-            if _support_of(A**q - 1) == base:
+            if _prime_support(A**q - 1) == base:
                 even_hits.append((A, q))
     return odd_hits, even_hits
 
@@ -262,8 +257,8 @@ def scan_plus_match(
     plus_plus = []
     plus_minus = []
     for A in range(2, A_max + 1):
-        plus = {e: _support_of(A**e + 1) for e in range(1, m_max + 1)}
-        minus = {e: _support_of(A**e - 1) for e in range(1, m_max + 1)}
+        plus = {e: _prime_support(A**e + 1) for e in range(1, m_max + 1)}
+        minus = {e: _prime_support(A**e - 1) for e in range(1, m_max + 1)}
         for m in range(1, m_max + 1):
             for n in range(1, m_max + 1):
                 if n < m and plus[m] == plus[n]:

@@ -5,6 +5,9 @@ unit-equivalent to the input (with trivial base).  Exponent spans are
 additive under multiplication and every usable factor has span >= 2, so
 enumerating all parameters with factor span at most the input's span is a
 complete candidate set and the search is a finite exact-division peel.
+Many triples share one factor polynomial (the mirror identity (m,l,p) ~
+(m,-l,m-p) among others), so the peel runs over distinct polynomials and
+expands each solution into its alias certificates at the end.
 
 `classify` runs the obstruction pipeline: symmetry, the 2^s +- 1 test on
 delta2, the rigidity of delta2 = 1 polynomials, and finally the search.  A
@@ -16,8 +19,10 @@ built from fusions.  NOT_SR verdicts are genuine obstructions.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations_with_replacement, product
 from typing import Optional, Tuple
 
 from .invariants import delta2, is_pm_power_product, symmetry_check
@@ -29,6 +34,7 @@ __all__ = [
     "Obstruction",
     "SRClassification",
     "DELTA2_ONE_QUARTIC",
+    "MAX_SEARCH_SPAN",
     "decompose",
     "classify",
     "delta2_one_factors",
@@ -36,6 +42,11 @@ __all__ = [
 
 # The only factor polynomial with delta2 = 1 besides units.
 DELTA2_ONE_QUARTIC = parse("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
+
+# Widest target `decompose` searches.  The candidate table grows about as the
+# cube of the span (built in 1.8 s at span 48 and 6 s at 64 on a Xeon core,
+# Python 3.11), so wider inputs are refused rather than searched for minutes.
+MAX_SEARCH_SPAN = 64
 
 
 class Verdict(enum.Enum):
@@ -65,7 +76,7 @@ class SRClassification:
 
 @dataclass(frozen=True)
 class _Candidate:
-    params: SRParams
+    aliases: Tuple[SRParams, ...]  # sorted triples whose factor is poly
     poly: LaurentPoly  # normalized factor polynomial
     span: int
     at_minus1: int     # |poly(-1)|, always >= 1
@@ -74,33 +85,25 @@ class _Candidate:
 
 @lru_cache(maxsize=64)
 def _candidates(max_span: int) -> tuple[_Candidate, ...]:
-    """All parameters with 2 <= factor_span <= max_span, by span, then params.
+    """Distinct factor polynomials with 2 <= span <= max_span, with aliases.
 
-    The span of f(t;m,l,p) is at least m - 1 and at least |p + l| - trivia,
-    which bounds m and p + l once the span budget is fixed; the filter below
-    then applies the exact span formula.
+    Sorted by span, then aliases.  The span of f(t;m,l,p) is at least m - 1
+    and at least |p + l| - trivia, which bounds m and p + l once the span
+    budget is fixed; the filter below then applies the exact span formula.
     """
-    if max_span < 2:
-        return ()
     budget = max_span // 2
-    found = []
+    groups: dict[LaurentPoly, list[SRParams]] = {}
     for m in range(1, budget + 2):
         for p in range(m + 1):
             for s in range(min(m - budget, 0), max(budget, m) + 1):
                 prm = SRParams(m, s - p, p)
-                span = factor_span(prm)
-                if 2 <= span <= max_span:
-                    poly = F_factor(prm).poly
-                    found.append(
-                        _Candidate(
-                            prm,
-                            poly,
-                            span,
-                            abs(eval_int(poly, -1)),
-                            eval_int(poly, 2),
-                        )
-                    )
-    found.sort(key=lambda c: (c.span, c.params))
+                if 2 <= factor_span(prm) <= max_span:
+                    groups.setdefault(F_factor(prm).poly, []).append(prm)
+    found = [
+        _Candidate(tuple(sorted(prms)), f, f.span, abs(eval_int(f, -1)), eval_int(f, 2))
+        for f, prms in groups.items()
+    ]
+    found.sort(key=lambda c: (c.span, c.aliases))
     return tuple(found)
 
 
@@ -108,20 +111,27 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
     """All multiset-distinct fusion decompositions of dp, canonically ordered.
 
     An empty list is a proof that no decomposition exists: the candidate set
-    is complete for the span budget.  Distinct parameter triples with the
-    same factor polynomial are reported as distinct certificates.
+    is complete for the span budget.  The peel runs over distinct factor
+    polynomials; each solution is then expanded into one certificate per
+    choice of aliases, so distinct parameter triples with the same factor
+    polynomial are reported as distinct certificates.  Targets wider than
+    MAX_SEARCH_SPAN raise ValueError instead of building a huge table.
     """
     target = dp.poly
+    if target.span > MAX_SEARCH_SPAN:
+        raise ValueError(f"span {target.span} is above the search budget of {MAX_SEARCH_SPAN}")
     cands = _candidates(target.span)
     results: list[SRDecomposition] = []
 
-    def peel(cur: LaurentPoly, cur_det: int, cur_at2: int, start: int, acc: list[SRParams]):
+    def peel(cur: LaurentPoly, cur_det: int, cur_at2: int, start: int, acc: list[int]):
         if cur == 1:
-            results.append(SRDecomposition(tuple(acc)))
+            picks = (
+                combinations_with_replacement(cands[idx].aliases, k)
+                for idx, k in Counter(acc).items()
+            )
+            results.extend(SRDecomposition(tuple(chain(*choice))) for choice in product(*picks))
             return
         span = cur.span
-        if span == 0:
-            return
         for idx in range(start, len(cands)):
             cand = cands[idx]
             if cand.span > span:
@@ -137,7 +147,7 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
             quotient = divide_exact(cur, cand.poly)
             if quotient is None:
                 continue
-            acc.append(cand.params)
+            acc.append(idx)
             peel(
                 quotient,
                 abs(eval_int(quotient, -1)),

@@ -6,6 +6,8 @@ import pytest
 
 import srknots
 from srknots.cli import main
+from srknots.laurent import LaurentPoly, parse
+from srknots.srsearch import MAX_SEARCH_SPAN
 
 
 def run(capsys, *argv):
@@ -83,6 +85,13 @@ class TestSrCommands:
     def test_invalid_params_exit_1(self, capsys):
         code, _, err = run(capsys, "sr", "factor", "--m", "0", "--l", "0", "--p", "0")
         assert code == 1 and "error:" in err
+
+    def test_classify_above_search_budget_exits_1(self, capsys):
+        # (1 - t + t^2)^33 has span 66 and passes every cheaper obstruction.
+        wide = str(parse("1 - t + t^2") ** 33)
+        code, out, err = run(capsys, "sr", "classify", "--poly", wide)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and str(MAX_SEARCH_SPAN) in err
 
 
 class TestKnotCommand:
@@ -177,6 +186,21 @@ class TestTableCommand:
         code, out, _ = run(capsys, "table", "verify", "--corpus", str(bad))
         assert code == 1
         assert "FAIL" in out
+
+    def test_row_above_search_budget_exits_1(self, capsys, tmp_path):
+        # (1 - t + t^2)^2500: span 5000 with delta2 = 3^2500, refused at search
+        # entry instead of building the candidate table.  The coefficients come
+        # from J. C. P. Miller's recurrence for powers, since `**` is quadratic.
+        a = [1]
+        for k in range(1, 5001):
+            terms = ((2501 * i - k) * c * a[k - i] for i, c in ((1, -1), (2, 1)) if i <= k)
+            a.append(sum(terms) // k)
+        row = f"k|yes|1|1|{LaurentPoly(dict(enumerate(a)))}|F(1,0,0)\n"
+        wide = tmp_path / "wide.txt"
+        wide.write_text(row, encoding="utf-8")
+        code, out, err = run(capsys, "table", "verify", "--corpus", str(wide))
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
 
     def test_missing_corpus_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "table", "verify", "--corpus", str(tmp_path / "nope.txt"))

@@ -8,7 +8,7 @@ import pytest
 
 import srknots
 from srknots import numtheory, srsearch
-from srknots.laurent import LaurentPoly, normalize, parse
+from srknots.laurent import LaurentPoly, divide_exact, eval_int, normalize, parse
 from srknots.srpoly import SRDecomposition, SRParams, F_factor, factor_span, product_formula
 from srknots.srsearch import (
     DELTA2_ONE_QUARTIC,
@@ -141,16 +141,14 @@ class TestDelta2OneFactors:
         }
 
 
+def _small_pool():
+    return [SRParams(m, l, p) for m in range(1, 4) for l in range(-3, 4) for p in range(m + 1)]
+
+
 class TestRoundTripProperty:
     def test_random_multisets_recovered(self):
         rng = random.Random(99)
-        pool = [
-            SRParams(m, l, p)
-            for m in range(1, 4)
-            for l in range(-3, 4)
-            for p in range(m + 1)
-            if factor_span(SRParams(m, l, p)) >= 2
-        ]
+        pool = [prm for prm in _small_pool() if factor_span(prm) >= 2]
         for _ in range(40):
             count = rng.randint(1, 2)
             chosen = [rng.choice(pool) for _ in range(count)]
@@ -163,6 +161,77 @@ class TestRoundTripProperty:
                 if len(d) == count
             ]
             assert wanted in recovered, [str(c) for c in chosen]
+
+
+def _triple_by_triple_decompose(target):
+    """Reference peel over single parameter triples, with no polynomial grouping."""
+    poly = target.poly
+    budget = poly.span // 2
+    table = sorted(
+        (factor_span(prm), prm, F_factor(prm).poly)
+        for m in range(1, budget + 2)
+        for p in range(m + 1)
+        for s in range(min(m - budget, 0), max(budget, m) + 1)
+        for prm in [SRParams(m, s - p, p)]
+        if 2 <= factor_span(prm) <= poly.span
+    )
+    results = []
+
+    def peel(cur, start, acc):
+        if cur == 1:
+            results.append(SRDecomposition(tuple(acc)))
+            return
+        for idx in range(start, len(table)):
+            span, prm, factor = table[idx]
+            if span > cur.span:
+                break
+            # Necessary conditions at t = -1 and t = 2; a factor vanishing at 2
+            # is left to the division.
+            if eval_int(cur, -1) % eval_int(factor, -1):
+                continue
+            if eval_int(cur, 2) % (eval_int(factor, 2) or 1):
+                continue
+            quotient = divide_exact(cur, factor)
+            if quotient is not None:
+                peel(quotient, idx, acc + [prm])
+
+    peel(poly, 0, [])
+    return sorted(results, key=lambda d: d.factors)
+
+
+class TestPolynomialPeel:
+    def test_matches_triple_by_triple_search(self):
+        rng = random.Random(4)
+        pool = [prm for prm in _small_pool() if factor_span(prm) >= 2]
+        for count in (1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3):
+            chosen = SRDecomposition(tuple(rng.choice(pool) for _ in range(count)))
+            target = product_formula(LaurentPoly.one(), chosen)
+            assert decompose(target) == _triple_by_triple_decompose(target), str(chosen)
+
+    def test_candidate_table_groups_every_triple_once(self):
+        table = srsearch._candidates(24)
+        assert len({c.poly for c in table}) == len(table)
+        for cand in table:
+            assert list(cand.aliases) == sorted(cand.aliases)
+            assert all(F_factor(prm).poly == cand.poly for prm in cand.aliases)
+        spans = [c.span for c in table]
+        assert spans == sorted(spans)
+        assert sum(len(c.aliases) for c in table) == 1534
+
+    def test_aliases_do_not_repeat_divisions(self, monkeypatch):
+        # Peeling each parameter triple on its own takes 1,784 divisions here;
+        # peeling each distinct factor polynomial once takes 87.
+        calls = []
+
+        def counting(a, b):
+            calls.append(b)
+            return divide_exact(a, b)
+
+        monkeypatch.setattr(srsearch, "divide_exact", counting)
+        dec = SRDecomposition((SRParams(1, -1, 1), SRParams(3, 1, 2), SRParams(3, 2, 1)))
+        target = product_formula(LaurentPoly.one(), dec)
+        assert decompose(target)
+        assert len(calls) <= 100
 
 
 class TestCertificateCheck:
