@@ -16,6 +16,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_process(*argv, **kwargs):
+    """The CLI in a fresh interpreter that imports this checkout's srknots."""
+    src = os.path.dirname(os.path.dirname(srknots.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", "from srknots.cli import run; run()", *argv],
+        env=env, capture_output=True, text=True, **kwargs,
+    )
+
+
 class TestPolyCommands:
     def test_eval(self, capsys):
         code, out, _ = run(capsys, "poly", "eval", "--poly", "2 - 5*t + 2*t^2", "--at", "2")
@@ -39,18 +50,14 @@ class TestPolyCommands:
 
     def test_out_of_memory_is_a_clean_error(self):
         resource = pytest.importorskip("resource")
-        src = os.path.dirname(os.path.dirname(srknots.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
         def limit_memory():
             # 256 MiB of address space: 2^(10^11) cannot be built within it.
             resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
 
-        done = subprocess.run(
-            [sys.executable, "-c", "from srknots.cli import run; run()",
-             "poly", "eval", "--poly", "t^100000000000", "--at", "2"],
-            env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        done = run_cli_process(
+            "poly", "eval", "--poly", "t^100000000000", "--at", "2",
+            timeout=60, preexec_fn=limit_memory,
         )
         assert done.returncode == 1
         assert done.stderr.startswith("error:")
@@ -92,6 +99,13 @@ class TestSrCommands:
         code, out, err = run(capsys, "sr", "classify", "--poly", wide)
         assert code == 1 and out == ""
         assert err.startswith("error:") and str(MAX_SEARCH_SPAN) in err
+
+    def test_classify_wide_trinomial_is_prompt(self):
+        # delta2 = 2^40000 - 2^20000 + 1 has 40,001 bits; a full remainder
+        # for every candidate 2^s +- 1 took about 45 s.
+        done = run_cli_process("sr", "classify", "--poly", "1 - t^20000 + t^40000", timeout=30)
+        assert done.returncode == 0
+        assert done.stdout == "NOT_SR obstruction=DELTA2_FACTOR\n"
 
 
 class TestKnotCommand:

@@ -1,11 +1,19 @@
 import inspect
 import random
 import sys
+import time
 
 import pytest
 
-from srknots.invariants import delta2, is_pm_power_product, knot_det, symmetry_check
-from srknots.laurent import normalize, parse
+from srknots.invariants import (
+    _SIEVE_PRIMES,
+    _pm_divisors,
+    delta2,
+    is_pm_power_product,
+    knot_det,
+    symmetry_check,
+)
+from srknots.laurent import eval_int, normalize, parse
 from srknots.srpoly import SRParams, F_factor
 
 
@@ -43,6 +51,33 @@ class TestDelta2:
             dp = normalize(shifted)
             assert delta2(dp) == 5
             assert knot_det(dp) == 25
+
+    def test_huge_power_of_two_is_stripped_promptly(self):
+        # The value at 2 is 2^1000000: halving it one bit at a time is
+        # quadratic in the exponent and runs for minutes.
+        dp = NF("t^1000000 + t - 2")
+        start = time.perf_counter()
+        assert delta2(dp) == 1
+        assert time.perf_counter() - start < 5.0
+
+    def test_matches_division_loop(self):
+        def odd_part_by_division(v):
+            while v % 2 == 0:
+                v //= 2
+            return v
+
+        rng = random.Random(41)
+        texts = [str(rng.choice((1, -1)) * (rng.getrandbits(64) | 1) << rng.randrange(300))
+                 for _ in range(100)]
+        for _ in range(100):
+            terms = [f"{rng.randrange(-9, 10):+d}*t^{e}" for e in range(rng.randrange(1, 40))]
+            texts.append(" ".join(terms).lstrip("+"))
+        for text in texts:
+            if parse(text).is_zero:
+                continue
+            dp = NF(text)
+            v = abs(eval_int(dp.poly, 2))
+            assert delta2(dp) == (odd_part_by_division(v) if v else 0), text
 
 
 class TestKnotDet:
@@ -93,6 +128,67 @@ def pm_product_set(limit):
                 reachable.add(nxt)
                 frontier.append(nxt)
     return reachable
+
+
+def reference_pm_divisors(n):
+    """One big-int remainder per candidate 2^s +- 1, s from the bit length down."""
+    for s in range(n.bit_length(), -1, -1):
+        for v in ((1 << s) + 1, (1 << s) - 1) if s >= 3 else ((1 << s) + 1,):
+            if v <= n and n % v == 0:
+                yield v
+
+
+def pm_value(s, sign):
+    return 2 if s == 0 else (1 << s) + sign
+
+
+class TestPmDivisors:
+    def assert_matches_reference(self, n):
+        assert list(_pm_divisors(n)) == list(reference_pm_divisors(n)), n
+
+    def test_every_small_n(self):
+        for n in range(20000):
+            self.assert_matches_reference(n)
+
+    def test_seeded_products_with_cofactors(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.getrandbits(rng.randrange(1, 601)) or 1
+            for _ in range(rng.randrange(6)):
+                n *= pm_value(rng.randrange(301), rng.choice((1, -1)))
+            self.assert_matches_reference(n)
+
+    def test_divisible_and_not_by_each_sieve_prime(self):
+        rng = random.Random(9)
+        for q, e in _SIEVE_PRIMES:
+            assert pow(2, e, q) == 1 and all(pow(2, d, q) != 1 for d in range(1, e))
+            base = ((1 << e) - 1) * ((1 << (e // 2 or 1)) + 1) * (rng.getrandbits(200) | 1)
+            while base % q == 0:
+                base //= q
+            self.assert_matches_reference(base)
+            self.assert_matches_reference(base * q)
+            self.assert_matches_reference(base * q * q * pm_value(rng.randrange(1, 200), -1))
+
+    def test_pm_values_themselves_and_even_n(self):
+        rng = random.Random(13)
+        for s in range(301):
+            for sign in (1, -1):
+                n = pm_value(s, sign)
+                if n > 1:
+                    self.assert_matches_reference(n)
+                    self.assert_matches_reference(n << rng.randrange(1, 40))
+
+    def test_large_product_witness(self):
+        n = ((1 << 4001) - 1) * ((1 << 2000) + 1) * 3**5
+        ok, witness = is_pm_power_product(n)
+        assert ok
+        product = 1
+        for w in witness:
+            product *= w
+            # w - 1 or w + 1 is a power of two.
+            assert (w - 1) & (w - 2) == 0 or (w + 1) & w == 0, w
+        assert product == n
+        assert list(witness) == sorted(witness, reverse=True)
 
 
 class TestPmPowerProduct:

@@ -66,6 +66,28 @@ class TestFactorization:
         p, q = 1_000_003, 999_983
         assert sorted(factorize(p * q)) == [q, p]
 
+    def test_matches_sympy_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2718)
+
+        def prime_of_bits(low, high):
+            return sympy.nextprime(rng.randrange(1 << (low - 1), 1 << high))
+
+        samples = list(range(1, 3000))
+        big = [prime_of_bits(20, 31) for _ in range(24)]
+        samples += [big[i] * big[i + 1] for i in range(0, 24, 2)]
+        samples += [p**k for p in (2, 3, 7919, 10007, *big[:4]) for k in (2, 3, 5)]
+        # Chernick's (6k + 1)(12k + 1)(18k + 1) is a Carmichael number when
+        # all three factors are prime; from k = 1667 on, every factor lies
+        # above trial division, so the number reaches the primality test.
+        chernick = [k for k in (*range(1, 400), *range(1667, 2400))
+                    if all(sympy.isprime(j * k + 1) for j in (6, 12, 18))]
+        samples += [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in chernick]
+        samples += [561, 1105, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041]
+        samples += [big[0] ** 2 * big[1], big[2] ** 3 * big[3] ** 2, 3**4 * big[4] ** 2 * big[5]]
+        for n in samples:
+            assert factorize(n) == sympy.factorint(n), n
+
 
 class TestGcdStructure:
     def test_examples(self):
