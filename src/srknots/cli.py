@@ -8,6 +8,7 @@ arguments always produce byte-identical stdout.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -38,7 +39,13 @@ from .srsearch import Verdict, classify
 __all__ = ["main", "run", "build_parser"]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Building it costs about as much as a cheap command, so callers that run
+    `main(argv)` many times in one process share it.
+    """
     parser = argparse.ArgumentParser(
         prog="srknots",
         description="Exact Alexander-polynomial toolkit for simple-ribbon knots.",

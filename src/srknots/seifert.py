@@ -19,6 +19,17 @@ Both determinants admit two-term closed forms (`closed_form_dets`) built from
 c = a - t b, d = b - t a, e_i = eps_i (1 - t), and fully reduced bracket
 forms (`reduced_form_dets`) that depend on the signs only through the count
 of positive bands.
+
+Determinants take one of two routes, by class of input:
+
+* integer pencils A - t B^T (the fusion blocks, and |M - t M^T| of an
+  assembled Seifert matrix) go through `_pencil_det`: one integer Bareiss
+  elimination at t = 2^K, with K above the bit length of the coefficient
+  bound prod_i sum_j (|A_ij| + |B_ji|), and the coefficients read off as
+  balanced base-2^K digits (Kronecker substitution);
+* general Laurent matrices (`seifert det --matrix`), whose entries may be
+  sparse with huge span, go through `symbolic_det`: sparse Laurent Bareiss
+  that never builds a dense or 2^K-packed entry.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 from .laurent import LaurentPoly, NormalForm, divide_exact, normalize, parse
-from .srpoly import SRParams, _sign
+from .srpoly import SRParams, _one_minus_t_power, _sign
 
 __all__ = [
     "FusionSigns",
@@ -185,6 +196,10 @@ def parse_matrix(text: str) -> list[list[LaurentPoly]]:
 def symbolic_det(matrix: Sequence[Sequence[Union[int, LaurentPoly]]]) -> LaurentPoly:
     """Exact determinant of a square matrix with Laurent polynomial entries.
 
+    This is the route for general Laurent matrices such as parsed
+    `--matrix` text.  Their entries may be sparse with huge span, where
+    packing a polynomial into one integer at t = 2^K would build integers of
+    that many times K bits; integer pencils use `_pencil_det` instead.
     Every size goes through fraction-free (Bareiss) elimination: each step
     replaces an entry by (pivot * entry - head * pivot-row entry) divided
     exactly by the previous pivot, so no fractions arise and intermediate
@@ -200,25 +215,72 @@ def symbolic_det(matrix: Sequence[Sequence[Union[int, LaurentPoly]]]) -> Laurent
     return _bareiss_det(rows)
 
 
-def _pencil(A: IntMatrix, B: IntMatrix) -> list[list[LaurentPoly]]:
-    """A - t * B^T as a Laurent matrix."""
+def _pencil_det(A: IntMatrix, B: IntMatrix) -> LaurentPoly:
+    """|A - t B^T| for square integer matrices A and B of the same size.
+
+    This is the route for integer pencils (fusion blocks and assembled
+    Seifert matrices), whose determinant has degree at most n.  Expanding
+    the determinant over permutations bounds the L1 norm of its
+    coefficients by Bnd = prod_i sum_j (|A_ij| + |B_ji|), the product of
+    the pencil's row L1 norms.  With K = Bnd.bit_length() + 2 and x = 2^K,
+    every coefficient c_k satisfies |c_k| <= Bnd < x/4, so the integer
+    det(A - x B^T) = sum_k c_k x^k has exactly one expansion in balanced
+    base-x digits (each in [-x/2, x/2)), and those digits are the c_k.
+    The integer determinant comes from one fraction-free (Bareiss)
+    elimination over Z; a column with no nonzero pivot (as a zero row
+    leaves) gives 0.
+    """
     n = len(A)
-    return [
-        [LaurentPoly({0: A[i][j], 1: -B[j][i]}) for j in range(n)]
-        for i in range(n)
-    ]
+    bound = 1
+    for i in range(n):
+        bound *= sum(abs(A[i][j]) + abs(B[j][i]) for j in range(n))
+    K = bound.bit_length() + 2
+    M = [[A[i][j] - (B[j][i] << K) for j in range(n)] for i in range(n)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if M[i][k]), -1)
+        if pivot_row < 0:
+            return LaurentPoly.zero()
+        if pivot_row != k:
+            M[k], M[pivot_row] = M[pivot_row], M[k]
+            sign = -sign
+        row_k = M[k]
+        pivot = row_k[k]
+        for i in range(k + 1, n):
+            row_i = M[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                q, r = divmod(pivot * row_i[j] - head * row_k[j], prev)
+                if r:
+                    raise ArithmeticError("fraction-free elimination lost exactness")
+                row_i[j] = q
+        prev = pivot
+    value = sign * prev
+    coeffs = {}
+    mask, half = (1 << K) - 1, 1 << (K - 1)
+    for e in range(n + 1):
+        digit = value & mask
+        value >>= K
+        if digit >= half:
+            digit -= 1 << K
+            value += 1
+        coeffs[e] = digit
+    if value:
+        raise ArithmeticError("pencil determinant exceeds its coefficient bound")
+    return LaurentPoly(coeffs)
 
 
 def det_P_minus_tQT(signs: FusionSigns) -> LaurentPoly:
     """|P - t Q^T| computed from the actual block matrices."""
     blocks = build_blocks(signs)
-    return symbolic_det(_pencil(blocks.P, blocks.Q))
+    return _pencil_det(blocks.P, blocks.Q)
 
 
 def det_Q_minus_tPT(signs: FusionSigns) -> LaurentPoly:
     """|Q - t P^T| computed from the actual block matrices."""
     blocks = build_blocks(signs)
-    return symbolic_det(_pencil(blocks.Q, blocks.P))
+    return _pencil_det(blocks.Q, blocks.P)
 
 
 # -- closed forms ------------------------------------------------------------
@@ -268,7 +330,7 @@ def reduced_form_dets(signs: FusionSigns) -> tuple[LaurentPoly, LaurentPoly]:
              |Q - t P^T| = (-1)^(-l+1-p) { t^(-l) (1-t)^m - (-t)^p }
     """
     m, l, p = signs.m, signs.l, signs.p
-    one_minus_t_m = LaurentPoly({0: 1, 1: -1}) ** m
+    one_minus_t_m = _one_minus_t_power(m)
     if l >= 0:
         det_p = _sign(1 - p) * (
             one_minus_t_m.shift(l) - LaurentPoly.monomial(_sign(m - p), m - p)
@@ -352,8 +414,4 @@ class SeifertMatrix:
 
 def alexander_from_seifert(matrix: SeifertMatrix) -> NormalForm:
     """Normalized |M - t M^T|; the empty matrix gives 1 by convention."""
-    n = matrix.size
-    if n == 0:
-        return normalize(LaurentPoly.one())
-    det = symbolic_det(_pencil(matrix.entries, matrix.entries))
-    return normalize(det)
+    return normalize(_pencil_det(matrix.entries, matrix.entries))

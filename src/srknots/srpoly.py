@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import comb
 from typing import Tuple
 
 from .laurent import (
@@ -45,6 +46,11 @@ __all__ = [
 def _sign(k: int) -> int:
     """(-1)**k, exact for negative k as well."""
     return -1 if k % 2 else 1
+
+
+def _one_minus_t_power(m: int) -> LaurentPoly:
+    """(1 - t)^m for m >= 0, straight from the binomial coefficients."""
+    return LaurentPoly({k: _sign(k) * comb(m, k) for k in range(m + 1)})
 
 
 @dataclass(frozen=True, order=True)
@@ -94,9 +100,8 @@ def f_factor(params: SRParams) -> LaurentPoly:
 
     Has negative exponents when p + l < 0.
     """
-    one_minus_t = LaurentPoly({0: 1, 1: -1})
     extra = LaurentPoly.monomial(_sign(params.p), params.p + params.l)
-    return one_minus_t**params.m - extra
+    return _one_minus_t_power(params.m) - extra
 
 
 def F_factor(params: SRParams) -> NormalForm:
@@ -143,7 +148,7 @@ def gh_factors(params: SRParams) -> tuple[LaurentPoly, LaurentPoly]:
     t = 2 splits |F(2)| into the two 2^s +- 1 contributions.
     """
     m, l, p = params.m, params.l, params.p
-    t_minus_one_m = LaurentPoly({0: -1, 1: 1}) ** m
+    t_minus_one_m = _sign(m) * _one_minus_t_power(m)
     g = LaurentPoly.monomial(1, p + l) + _sign(m - p - 1) * t_minus_one_m
     h = LaurentPoly.monomial(1, m - p - l) + _sign(p + 1) * t_minus_one_m
     return g, h

@@ -249,3 +249,24 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_one_process_matches_fresh_processes(self, capsys):
+        # main reuses one parser per process; a run must not leak into the next.
+        argvs = [
+            ["poly", "eval", "--poly", "1 - t + t^2", "--at", "2"],
+            ["sr", "classify", "--poly", "2 - 5*t + 2*t^2"],
+            ["seifert", "check", "--m", "2", "--l", "-1", "--eps", "1,-1"],
+            ["sr", "factor", "--m", "2"],
+            ["nt", "pairs", "--m", "4", "--n", "2"],
+        ]
+        codes = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr().out
+            fresh = run_cli_process(*argv)
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+            codes.append(code)
+        assert codes == [0, 0, 0, 2, 0]

@@ -1,13 +1,16 @@
 import itertools
 import random
+from math import comb
 import tracemalloc
 
 import pytest
 
+from srknots import seifert
 from srknots.laurent import LaurentPoly, equal_up_to_unit, parse
 from srknots.seifert import (
     FusionSigns,
     SeifertMatrix,
+    _pencil_det,
     alexander_from_fusion,
     alexander_from_seifert,
     build_blocks,
@@ -18,7 +21,7 @@ from srknots.seifert import (
     symbolic_det,
     value_row,
 )
-from srknots.srpoly import F_factor, SRParams
+from srknots.srpoly import F_factor, SRParams, _one_minus_t_power
 
 
 def sign_grid(max_m, max_abs_l):
@@ -148,6 +151,100 @@ class TestSymbolicDet:
         row = [parse("1 + t"), parse("2 - t"), parse("t"), parse("1"), parse("3")]
         m = [row, row, [parse("1")] * 5, [parse("t")] * 5, [parse("t^2")] * 5]
         assert symbolic_det(m).is_zero
+
+
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def laurent_pencil(A, B):
+    """A - t B^T with Laurent entries, for the sparse route."""
+    n = len(A)
+    return [[LaurentPoly({0: A[i][j], 1: -B[j][i]}) for j in range(n)] for i in range(n)]
+
+
+def sympy_pencil_det(A, B):
+    """|A - t B^T| from sympy's determinant over Z[t]."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.Symbol("t")
+    n = len(A)
+    pencil = sympy.Matrix(n, n, lambda i, j: A[i][j] - t * B[j][i])
+    ring = sympy.ZZ[t]
+    det = DomainMatrix.from_Matrix(pencil).convert_to(ring).det()
+    coeffs = sympy.Poly(ring.to_sympy(det), t).as_dict()
+    return LaurentPoly({k: int(c) for (k,), c in coeffs.items()})
+
+
+class TestPencilDet:
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_matches_sympy_det_on_random_pencils(self, n):
+        rng = random.Random(300 + n)
+
+        def draw():
+            # About a third of the entries are zero.
+            return [
+                [rng.randint(-50, 50) if rng.random() < 0.67 else 0 for _ in range(n)]
+                for _ in range(n)
+            ]
+
+        A, B, M = draw(), draw(), draw()
+        assert _pencil_det(A, B) == sympy_pencil_det(A, B)
+        assert _pencil_det(M, M) == sympy_pencil_det(M, M)
+
+    def test_singular_pencils(self):
+        rng = random.Random(41)
+        n = 6
+        A = random_matrix(rng, n, n, -9, 9)
+        BT = random_matrix(rng, n, n, -9, 9)
+        repeated = [row[:] for row in A], [row[:] for row in BT]
+        repeated[0][4], repeated[1][4] = A[1], BT[1]
+        zero_row = [row[:] for row in A], [row[:] for row in BT]
+        zero_row[0][2], zero_row[1][2] = [0] * n, [0] * n
+        zero_column = [[0] + row[1:] for row in A], [[0] + row[1:] for row in BT]
+        for A_, BT_ in (repeated, zero_row, zero_column):
+            assert _pencil_det(A_, transpose(BT_)).is_zero
+            assert sympy_pencil_det(A_, transpose(BT_)).is_zero
+
+    def test_zero_leading_entries_force_row_swaps(self):
+        rng = random.Random(43)
+        for n in range(2, 9):
+            A = random_matrix(rng, n, n, -9, 9)
+            BT = random_matrix(rng, n, n, -9, 9)
+            for i in range(n):
+                A[i][0] = 0  # the first column vanishes at t = 0 ...
+            for i in range(n - 1):
+                BT[i][0] = 0  # ... and everywhere but in the last row.
+            BT[n - 1][0] = rng.choice((-3, -1, 2, 5))
+            got = _pencil_det(A, transpose(BT))
+            assert got == sympy_pencil_det(A, transpose(BT))
+            assert got == symbolic_det(laurent_pencil(A, transpose(BT)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 24, 40])
+    def test_identity_pencils_meet_the_bound(self, n):
+        # |I - t(+-I)| = (1 -+ t)^n: its coefficients sum in absolute value
+        # to 2^n, which is the row-norm bound itself.
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        minus_eye = [[-x for x in row] for row in eye]
+        assert _pencil_det(eye, eye) == _one_minus_t_power(n)
+        assert _pencil_det(eye, minus_eye) == LaurentPoly({k: comb(n, k) for k in range(n + 1)})
+
+    def test_every_grid_pattern_matches_sparse_route(self):
+        count = 0
+        for signs in sign_grid(5, 4):
+            blocks = build_blocks(signs)
+            assert det_P_minus_tQT(signs) == symbolic_det(laurent_pencil(blocks.P, blocks.Q)), signs
+            assert det_Q_minus_tPT(signs) == symbolic_det(laurent_pencil(blocks.Q, blocks.P)), signs
+            count += 1
+        assert count == 558
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # Integer Bareiss divisions are exact, so fake a remainder to show
+        # the check fires, also under python -O.
+        monkeypatch.setattr(seifert, "divmod", lambda a, b: (a // b, 1), raising=False)
+        with pytest.raises(ArithmeticError):
+            det_P_minus_tQT(FusionSigns((1, -1), 2))
 
 
 class TestBlockDeterminants:

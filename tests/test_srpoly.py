@@ -12,6 +12,7 @@ from srknots.srpoly import (
     SRDecomposition,
     SRParams,
     F_factor,
+    _one_minus_t_power,
     f_factor,
     factor_span,
     gh_factors,
@@ -59,6 +60,22 @@ class TestFFactor:
 
     def test_negative_linking_gives_negative_exponents(self):
         assert f_factor(SRParams(1, -2, 0)) == parse("1 - t - t^-2")
+
+
+class TestOneMinusTPower:
+    def test_matches_repeated_multiplication(self):
+        one_minus_t = LaurentPoly({0: 1, 1: -1})
+        for m in range(81):
+            assert _one_minus_t_power(m) == one_minus_t**m, m
+
+    def test_matches_sympy_expand(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for m in range(81):
+            expected = sympy.Poly(sympy.expand((1 - t) ** m), t).as_dict()
+            assert _one_minus_t_power(m) == LaurentPoly(
+                {k: int(c) for (k,), c in expected.items()}
+            ), m
 
 
 class TestSymmetricFactor:
