@@ -15,7 +15,6 @@ from .laurent import (
     eval_int,
     normalize,
     parse,
-    substitute_inverse,
 )
 from .srpoly import (
     SRDecomposition,
@@ -54,14 +53,10 @@ from .srsearch import (
     delta2_one_factors,
 )
 from .numtheory import (
-    FactorSet,
     PairVerdict,
     admissible_pair,
     catalan_scan,
-    det_constraint,
     factorize,
-    gcd_structure,
-    prime_factor_set,
     scan_base_match,
     scan_det_power_products,
     scan_minus_match,
@@ -73,7 +68,6 @@ from .corpus import (
     RecordReport,
     bundled_corpus_path,
     load_corpus,
-    save_corpus,
     verify_corpus,
     verify_record,
 )

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
 from .invariants import delta2, knot_det, symmetry_check
-from .laurent import LaurentPoly, eval_int, normalize, parse
+from .laurent import eval_int, normalize, parse
 from .numtheory import (
     admissible_pair,
     catalan_scan,
@@ -152,7 +152,7 @@ def _cmd_sr(args) -> int:
         print(F_factor(SRParams(args.m, args.l, args.p)))
     elif args.verb == "product":
         decomposition = parse_decomposition(args.factors)
-        print(product_formula(LaurentPoly.one(), decomposition))
+        print(product_formula(decomposition))
     else:
         outcome = classify(normalize(parse(args.poly)))
         if outcome.verdict is Verdict.POLY_COMPATIBLE:

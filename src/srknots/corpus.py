@@ -11,8 +11,8 @@ File format: UTF-8 text, one record per line, six fields separated by '|':
 sr_flag is "yes" or "no"; delta_prime uses the polynomial grammar of
 `srknots.laurent` and must already be in normal form; factorization uses the
 F(m,l,p) atom format of `srknots.srpoly` and is empty exactly when sr_flag is
-"no".  Names are opaque (they may contain '#' and '*').  Files written by
-`save_corpus` round-trip byte-exactly through `load_corpus`.
+"no".  Names are opaque (they may contain '#' and '*').  The bundled table is
+in canonical form: each line is exactly the `str()` of its record's fields.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .invariants import delta2, knot_det
-from .laurent import LaurentPoly, NormalForm, equal_up_to_unit, parse
+from .laurent import NormalForm, parse
 from .srpoly import SRDecomposition, parse_decomposition, product_formula
 from .srsearch import Obstruction, SRClassification, Verdict, classify
 
@@ -33,7 +33,6 @@ __all__ = [
     "RecordReport",
     "bundled_corpus_path",
     "load_corpus",
-    "save_corpus",
     "verify_record",
     "verify_corpus",
 ]
@@ -121,27 +120,6 @@ def load_corpus(path=None) -> list[KnotRecord]:
     return records
 
 
-def _format_record(record: KnotRecord) -> str:
-    fact = str(record.factorization) if record.factorization is not None else ""
-    return "|".join(
-        (
-            record.name,
-            "yes" if record.sr else "no",
-            str(record.delta2),
-            str(record.det),
-            str(record.delta_prime),
-            fact,
-        )
-    )
-
-
-def save_corpus(records: Sequence[KnotRecord], path) -> None:
-    """Write records in the canonical byte-stable format."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(_format_record(record) + "\n")
-
-
 @dataclass(frozen=True)
 class RecordReport:
     """Per-record verification outcome; factorization_ok is None on no rows."""
@@ -167,16 +145,16 @@ def verify_record(record: KnotRecord) -> RecordReport:
     """Check the record against the computational modules.
 
     (a) delta2 matches, (b) determinant matches, (c) the stored factorization
-    regenerates the polynomial up to units, (d) the classification verdict
-    matches the yes/no flag.
+    regenerates the polynomial (both are normal forms, so plain equality is
+    unit equivalence), (d) the classification verdict matches the yes/no
+    flag.
     """
     dp = record.delta_prime
     d2_ok = delta2(dp) == record.delta2
     det_ok = knot_det(dp) == record.det
     fact_ok = None
     if record.factorization is not None:
-        regenerated = product_formula(LaurentPoly.one(), record.factorization)
-        fact_ok = equal_up_to_unit(regenerated.poly, dp.poly)
+        fact_ok = product_formula(record.factorization) == dp
     outcome: SRClassification = classify(dp)
     wanted = Verdict.POLY_COMPATIBLE if record.sr else Verdict.NOT_SR
     return RecordReport(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from .laurent import NormalForm, equal_up_to_unit, eval_int, substitute_inverse
+from .laurent import NormalForm, equal_up_to_unit, eval_int
 
 __all__ = ["delta2", "knot_det", "is_pm_power_product", "symmetry_check"]
 
@@ -32,7 +32,7 @@ def knot_det(dp: NormalForm) -> int:
 
 def symmetry_check(dp: NormalForm) -> bool:
     """Whether dp is unit-equivalent to its own t -> 1/t image."""
-    return equal_up_to_unit(dp.poly, substitute_inverse(dp.poly))
+    return equal_up_to_unit(dp.poly, dp.poly.substitute_inverse())
 
 
 def _order_of_two(q: int) -> int:

@@ -32,7 +32,6 @@ __all__ = [
     "LaurentPoly",
     "NormalForm",
     "PolyParseError",
-    "substitute_inverse",
     "normalize",
     "equal_up_to_unit",
     "eval_int",
@@ -267,11 +266,6 @@ class NormalForm:
 
 
 # -- module-level operations ------------------------------------------------
-
-
-def substitute_inverse(p: LaurentPoly) -> LaurentPoly:
-    """t -> 1/t, term by term."""
-    return p.substitute_inverse()
 
 
 def normalize(p: LaurentPoly) -> NormalForm:

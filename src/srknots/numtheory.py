@@ -2,9 +2,11 @@
 
 The determinant of a knot built from m-band fusions is (2^m - 1)^a (2^m + 1)^b,
 so questions about knots shared between band counts reduce to coincidences
-between such power products.  This module provides the prime-support set
-P(x), bounded brute-force scans over the relevant exponential Diophantine
-shapes, and the admissible-pair classifier for band counts.
+between such power products.  This module provides complete factorization,
+bounded brute-force scans over the relevant exponential Diophantine shapes
+(the `nt scan` families; three of them compare prime-support sets P(x),
+computed by the cached `_prime_support`), and the admissible-pair
+classifier for band counts (`nt pairs`).
 
 All scans run on exact big integers; they are verification harnesses over
 finite boxes, not proofs.
@@ -19,18 +21,14 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 __all__ = [
-    "FactorSet",
     "PairVerdict",
     "factorize",
-    "prime_factor_set",
-    "gcd_structure",
     "catalan_scan",
     "scan_minus_match",
     "scan_base_match",
     "scan_plus_match",
     "scan_det_power_products",
     "admissible_pair",
-    "det_constraint",
 ]
 
 _TRIAL_LIMIT = 10_000
@@ -137,36 +135,10 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class FactorSet:
-    """A positive integer with its set of distinct prime factors."""
-
-    n: int
-    primes: Tuple[int, ...]
-
-
 @lru_cache(maxsize=4096)
 def _prime_support(n: int) -> Tuple[int, ...]:
+    """P(n): the distinct primes dividing n, ascending; () for n = 1."""
     return tuple(sorted(factorize(n)))
-
-
-def prime_factor_set(n: int) -> FactorSet:
-    """The set of distinct primes dividing n; empty for n = 1."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return FactorSet(n, _prime_support(n))
-
-
-def gcd_structure(A: int, m: int, n: int, second_is_minus: bool) -> int:
-    """gcd(A^m + 1, A^n +- 1).
-
-    Always lands in {1, 2, A^g + 1} with g = gcd(m, n); the enclosing test
-    grid asserts that classification.
-    """
-    if A <= 1:
-        raise ValueError("A must exceed 1")
-    second = A**n - 1 if second_is_minus else A**n + 1
-    return math.gcd(A**m + 1, second)
 
 
 def _iroot(n: int, k: int) -> int:
@@ -346,36 +318,3 @@ def admissible_pair(m: int, n: int) -> PairVerdict:
     if m == 2 * n:
         return PairVerdict(m, n, True, "(2n,n)")
     return PairVerdict(m, n, False)
-
-
-def det_constraint(det: int, m: int) -> Optional[tuple[int, int]]:
-    """Exponents (a, b) with det = (2^m - 1)^a (2^m + 1)^b, or None.
-
-    For m = 1 the base 2^1 - 1 = 1 forces a = 0 by convention.
-    """
-    if det < 1 or m < 1:
-        raise ValueError("det and m must be positive")
-    lo, hi = (1 << m) - 1, (1 << m) + 1
-
-    def exponent_of(value: int, base: int) -> Optional[int]:
-        e = 0
-        while value > 1:
-            if value % base:
-                return None
-            value //= base
-            e += 1
-        return e
-
-    if m == 1:
-        b = exponent_of(det, hi)
-        return None if b is None else (0, b)
-    rest = det
-    a = 0
-    while True:
-        b = exponent_of(rest, hi)
-        if b is not None:
-            return (a, b)
-        if rest % lo:
-            return None
-        rest //= lo
-        a += 1

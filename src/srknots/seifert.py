@@ -1,9 +1,10 @@
 """Block Seifert matrices of an elementary fusion and exact symbolic determinants.
 
 For band signs eps_1..eps_m and linking number l, the fusion contributes two
-square integer blocks P and Q of size m + |l|.  The Alexander polynomial of
-the fused knot is the base knot's polynomial times |P - t Q^T| times
-|Q - t P^T|.
+square integer blocks P and Q of size m + |l|.  Fusion multiplies the
+Alexander polynomial by |P - t Q^T| times |Q - t P^T|; one fusion of the
+trivial knot (polynomial 1) has exactly that product
+(`alexander_from_fusion`).
 
 Block layout, with a = (e+1)/2, b = (e-1)/2 for the sign e of l and
 a_i, b_i the same expressions in the band signs:
@@ -348,11 +349,9 @@ def reduced_form_dets(signs: FusionSigns) -> tuple[LaurentPoly, LaurentPoly]:
     return det_p, det_q
 
 
-def alexander_from_fusion(base: LaurentPoly, signs: FusionSigns) -> NormalForm:
-    """Normalized base * |P - t Q^T| * |Q - t P^T|."""
-    if base.is_zero:
-        raise ValueError("base polynomial must be nonzero")
-    return normalize(base * det_P_minus_tQT(signs) * det_Q_minus_tPT(signs))
+def alexander_from_fusion(signs: FusionSigns) -> NormalForm:
+    """Normalized |P - t Q^T| * |Q - t P^T|: one fusion of the trivial knot."""
+    return normalize(det_P_minus_tQT(signs) * det_Q_minus_tPT(signs))
 
 
 # -- assembled Seifert matrices ----------------------------------------------

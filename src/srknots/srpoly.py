@@ -20,14 +20,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Tuple
 
-from .laurent import (
-    LaurentPoly,
-    NormalForm,
-    PolyParseError,
-    equal_up_to_unit,
-    normalize,
-    substitute_inverse,
-)
+from .laurent import LaurentPoly, NormalForm, PolyParseError, equal_up_to_unit, normalize
 
 __all__ = [
     "SRParams",
@@ -107,17 +100,19 @@ def f_factor(params: SRParams) -> LaurentPoly:
 def F_factor(params: SRParams) -> NormalForm:
     """Normalized symmetric factor f(t) * f(1/t)."""
     f = f_factor(params)
-    return normalize(f * substitute_inverse(f))
+    return normalize(f * f.substitute_inverse())
 
 
-def product_formula(base: LaurentPoly, factors: SRDecomposition) -> NormalForm:
-    """Normalized product of a base polynomial with every fusion factor."""
-    if base.is_zero:
-        raise ValueError("base polynomial must be nonzero")
-    acc = base
+def product_formula(factors: SRDecomposition) -> NormalForm:
+    """Normalized product of every fusion factor.
+
+    This is the Alexander polynomial of the knot that these fusions build
+    from the trivial knot; the empty decomposition gives 1.
+    """
+    acc = LaurentPoly.one()
     for prm in factors:
         f = f_factor(prm)
-        acc = acc * f * substitute_inverse(f)
+        acc = acc * f * f.substitute_inverse()
     return normalize(acc)
 
 
@@ -133,7 +128,7 @@ def mirror_identity_check(params: SRParams) -> bool:
     directly testable.
     """
     f = f_factor(params)
-    lhs = f * substitute_inverse(f)
+    lhs = f * f.substitute_inverse()
     rhs = f * f_factor(mirror(params))
     return equal_up_to_unit(lhs, rhs)
 

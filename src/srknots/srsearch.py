@@ -26,7 +26,7 @@ from itertools import chain, combinations_with_replacement, product
 from typing import Optional, Tuple
 
 from .invariants import delta2, is_pm_power_product, symmetry_check
-from .laurent import LaurentPoly, NormalForm, divide_exact, equal_up_to_unit, eval_int, parse
+from .laurent import LaurentPoly, NormalForm, divide_exact, eval_int, parse
 from .srpoly import F_factor, SRDecomposition, SRParams, factor_span, gh_factors, product_formula
 
 __all__ = [
@@ -159,8 +159,9 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
 
     peel(target, abs(eval_int(target, -1)), eval_int(target, 2), 0, [])
     results.sort(key=lambda d: d.factors)
+    # Both sides are normal forms, so unit equivalence is plain equality.
     for dec in results:
-        if not equal_up_to_unit(product_formula(LaurentPoly.one(), dec).poly, target):
+        if product_formula(dec).poly != target:
             raise ArithmeticError(f"certificate {dec} does not regenerate {target}")
     return results
 

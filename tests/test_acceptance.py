@@ -73,7 +73,7 @@ def test_table_replay():
             failures.append(f"{record.name}: det")
         if record.factorization is not None:
             yes_rows += 1
-            regenerated = product_formula(LaurentPoly.one(), record.factorization)
+            regenerated = product_formula(record.factorization)
             if not equal_up_to_unit(regenerated.poly, record.delta_prime.poly):
                 failures.append(f"{record.name}: factorization does not regenerate")
     if yes_rows != 18:
@@ -135,7 +135,7 @@ def test_fusion_factor_consistency():
     started = time.time()
     failures = []
     for signs in sign_grid(5, 4):
-        via_blocks = alexander_from_fusion(LaurentPoly.one(), signs)
+        via_blocks = alexander_from_fusion(signs)
         if not equal_up_to_unit(via_blocks.poly, F_factor(signs.params).poly):
             failures.append(f"{signs}: block route disagrees with factor formula")
 
@@ -252,7 +252,7 @@ def test_search_round_trip():
     for trial in range(200):
         count = rng.randint(1, 2)
         chosen = [rng.choice(pool) for _ in range(count)]
-        target = product_formula(LaurentPoly.one(), SRDecomposition(tuple(chosen)))
+        target = product_formula(SRDecomposition(tuple(chosen)))
         results = decompose(target)
         wanted = sorted((F_factor(prm).poly for prm in chosen), key=hash)
         recovered = [

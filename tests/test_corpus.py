@@ -1,3 +1,7 @@
+import hashlib
+import re
+from pathlib import Path
+
 import pytest
 
 from srknots.corpus import (
@@ -5,7 +9,6 @@ from srknots.corpus import (
     KnotRecord,
     bundled_corpus_path,
     load_corpus,
-    save_corpus,
     verify_corpus,
     verify_record,
 )
@@ -44,11 +47,30 @@ class TestLoad:
         names = {r.name for r in records}
         assert {"3_1#3_1*", "4_1#4_1", "5_1#5_1*", "5_2#5_2*"} <= names
 
-    def test_round_trip_is_bit_exact(self, records, tmp_path):
-        out = tmp_path / "table.txt"
-        save_corpus(records, out)
-        assert out.read_bytes() == bundled_corpus_path().read_bytes()
-        assert load_corpus(out) == records
+    def test_round_trip_is_bit_exact(self, records):
+        # The bundled file is in canonical form: each line is exactly the
+        # printed fields of the record it loads as.
+        lines = [
+            "|".join(
+                (
+                    r.name,
+                    "yes" if r.sr else "no",
+                    str(r.delta2),
+                    str(r.det),
+                    str(r.delta_prime),
+                    "" if r.factorization is None else str(r.factorization),
+                )
+            )
+            + "\n"
+            for r in records
+        ]
+        assert "".join(lines).encode("utf-8") == bundled_corpus_path().read_bytes()
+
+    def test_readme_hash_matches_bundled_file(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        hashes = re.findall(r"^[0-9a-f]{64}$", readme.read_text(encoding="utf-8"), re.M)
+        digest = hashlib.sha256(bundled_corpus_path().read_bytes()).hexdigest()
+        assert hashes == [digest]
 
 
 class TestLoadErrors:
@@ -121,6 +143,15 @@ class TestVerifyRecord:
         )
         report = verify_record(record)
         assert not report.delta2_ok and not report.det_ok and not report.classify_ok
+        assert not report.passed
+
+    def test_wrong_factorization_fails(self, records):
+        row = next(r for r in records if r.name == "8_8")
+        wrong = SRDecomposition((SRParams(2, 0, 0),))
+        report = verify_record(
+            KnotRecord(row.name, True, row.delta2, row.det, row.delta_prime, wrong)
+        )
+        assert report.factorization_ok is False
         assert not report.passed
 
 

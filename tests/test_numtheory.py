@@ -1,17 +1,13 @@
-import math
 import random
 
 import pytest
 
 from srknots.numtheory import (
-    FactorSet,
+    _prime_support,
     admissible_pair,
     catalan_scan,
-    det_constraint,
     factorize,
-    gcd_structure,
     is_prime,
-    prime_factor_set,
     scan_base_match,
     scan_det_power_products,
     scan_minus_match,
@@ -34,21 +30,22 @@ def naive_prime_set(n):
 
 
 class TestFactorization:
+    # `_prime_support` is the P(x) that the minus, base and plus scans compare.
     def test_examples(self):
-        assert prime_factor_set(9) == FactorSet(9, (3,))
-        assert prime_factor_set(2**3 + 1).primes == prime_factor_set(2**1 + 1).primes
-        assert prime_factor_set(63).primes == (3, 7)
-        assert prime_factor_set(1).primes == ()
+        assert _prime_support(9) == (3,)
+        assert _prime_support(2**3 + 1) == _prime_support(2**1 + 1)
+        assert _prime_support(63) == (3, 7)
+        assert _prime_support(1) == ()
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            prime_factor_set(0)
+            _prime_support(0)
 
     def test_against_naive_trial_division(self):
         rng = random.Random(31)
         samples = list(range(1, 2000)) + [rng.randrange(1, 10**6) for _ in range(500)]
         for n in samples:
-            assert prime_factor_set(n).primes == naive_prime_set(n), n
+            assert _prime_support(n) == naive_prime_set(n), n
 
     def test_reconstruction_from_multiplicities(self):
         rng = random.Random(17)
@@ -87,22 +84,6 @@ class TestFactorization:
         samples += [big[0] ** 2 * big[1], big[2] ** 3 * big[3] ** 2, 3**4 * big[4] ** 2 * big[5]]
         for n in samples:
             assert factorize(n) == sympy.factorint(n), n
-
-
-class TestGcdStructure:
-    def test_examples(self):
-        assert gcd_structure(2, 3, 1, second_is_minus=False) == 3
-        assert gcd_structure(2, 2, 1, second_is_minus=False) == 1
-        assert gcd_structure(3, 1, 1, second_is_minus=True) == 2
-
-    def test_classification_exhaustive(self):
-        for A in range(2, 13):
-            for m in range(1, 11):
-                for n in range(1, 11):
-                    g = math.gcd(m, n)
-                    for minus in (False, True):
-                        got = gcd_structure(A, m, n, second_is_minus=minus)
-                        assert got in (1, 2, A**g + 1), (A, m, n, minus, got)
 
 
 class TestCatalanScan:
@@ -180,31 +161,3 @@ class TestAdmissiblePair:
             for n in range(1, m):
                 verdict = admissible_pair(m, n)
                 assert verdict.admissible == (verdict.family is not None)
-
-
-class TestDetConstraint:
-    @pytest.mark.parametrize(
-        "det,m,expected",
-        [
-            (9, 1, (0, 2)),
-            (9, 2, (2, 0)),
-            (11, 2, None),
-            (1, 3, (0, 0)),
-            (45, 2, (2, 1)),
-            (21, 1, None),
-        ],
-    )
-    def test_examples(self, det, m, expected):
-        assert det_constraint(det, m) == expected
-
-    def test_reconstruction(self):
-        for m in range(1, 6):
-            for a in range(0, 4):
-                for b in range(0, 4):
-                    if m == 1 and a > 0:
-                        continue
-                    det = (2**m - 1) ** a * (2**m + 1) ** b
-                    got = det_constraint(det, m)
-                    assert got is not None
-                    ga, gb = got
-                    assert (2**m - 1) ** ga * (2**m + 1) ** gb == det

@@ -288,22 +288,17 @@ class TestAlexanderFromFusion:
         ],
     )
     def test_table_rows(self, eps, l, expected):
-        got = alexander_from_fusion(LaurentPoly.one(), FusionSigns(eps, l))
+        got = alexander_from_fusion(FusionSigns(eps, l))
         assert str(got) == expected
 
-    def test_unit_factor_keeps_base(self):
-        base = parse("2 - 5*t + 2*t^2")
-        got = alexander_from_fusion(base, FusionSigns((1,), 0))
-        assert equal_up_to_unit(got.poly, base)
+    def test_unit_fusion_gives_one(self):
+        # One positive band with l = 0: f(t) = (1 - t) - (-t) = 1.
+        assert alexander_from_fusion(FusionSigns((1,), 0)).poly == 1
 
     def test_matches_factor_formula_on_grid(self):
         for signs in sign_grid(4, 3):
-            via_blocks = alexander_from_fusion(LaurentPoly.one(), signs)
+            via_blocks = alexander_from_fusion(signs)
             assert via_blocks.poly == F_factor(signs.params).poly, signs
-
-    def test_zero_base_rejected(self):
-        with pytest.raises(ValueError):
-            alexander_from_fusion(LaurentPoly.zero(), FusionSigns((1,), 0))
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):

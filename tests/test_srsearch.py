@@ -30,7 +30,7 @@ class TestDecompose:
         assert SRDecomposition((SRParams(2, 0, 0),)) in results
         assert all(len(d) == 1 for d in results)
         for d in results:
-            regen = product_formula(LaurentPoly.one(), d)
+            regen = product_formula(d)
             assert regen.poly == parse("2 - 5*t + 2*t^2")
 
     def test_trivial_polynomial(self):
@@ -152,7 +152,7 @@ class TestRoundTripProperty:
         for _ in range(40):
             count = rng.randint(1, 2)
             chosen = [rng.choice(pool) for _ in range(count)]
-            target = product_formula(LaurentPoly.one(), SRDecomposition(tuple(chosen)))
+            target = product_formula(SRDecomposition(tuple(chosen)))
             results = decompose(target)
             wanted = sorted((F_factor(prm).poly for prm in chosen), key=hash)
             recovered = [
@@ -205,7 +205,7 @@ class TestPolynomialPeel:
         pool = [prm for prm in _small_pool() if factor_span(prm) >= 2]
         for count in (1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3):
             chosen = SRDecomposition(tuple(rng.choice(pool) for _ in range(count)))
-            target = product_formula(LaurentPoly.one(), chosen)
+            target = product_formula(chosen)
             assert decompose(target) == _triple_by_triple_decompose(target), str(chosen)
 
     def test_candidate_table_groups_every_triple_once(self):
@@ -229,14 +229,14 @@ class TestPolynomialPeel:
 
         monkeypatch.setattr(srsearch, "divide_exact", counting)
         dec = SRDecomposition((SRParams(1, -1, 1), SRParams(3, 1, 2), SRParams(3, 2, 1)))
-        target = product_formula(LaurentPoly.one(), dec)
+        target = product_formula(dec)
         assert decompose(target)
         assert len(calls) <= 100
 
 
 class TestCertificateCheck:
     def test_wrong_certificate_raises(self, monkeypatch):
-        monkeypatch.setattr(srsearch, "product_formula", lambda base, dec: NF("1 + t"))
+        monkeypatch.setattr(srsearch, "product_formula", lambda dec: NF("1 + t"))
         with pytest.raises(ArithmeticError):
             decompose(NF("2 - 5*t + 2*t^2"))
 
@@ -248,7 +248,7 @@ class TestCertificateCheck:
                 "from srknots.laurent import normalize, parse",
                 "if not sys.flags.optimize:",
                 "    sys.exit(2)",
-                "srsearch.product_formula = lambda base, dec: normalize(parse('1 + t'))",
+                "srsearch.product_formula = lambda dec: normalize(parse('1 + t'))",
                 "try:",
                 "    srsearch.decompose(normalize(parse('2 - 5*t + 2*t^2')))",
                 "except ArithmeticError:",
