@@ -253,25 +253,37 @@ def _ok(flag: bool) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "poly": _cmd_poly,
-        "sr": _cmd_sr,
-        "knot": _cmd_knot,
-        "seifert": _cmd_seifert,
-        "nt": _cmd_nt,
-        "table": _cmd_table,
-    }
+    # Exact values (delta2 of a wide polynomial, an evaluation, a coefficient
+    # literal) run past Python's 4,300-digit cap on int <-> str conversion,
+    # so the cap is lifted while a command runs and restored after it.  The
+    # cap is process-wide: threads that call main at once share it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return handlers[args.group](args)
-    except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        handlers = {
+            "poly": _cmd_poly,
+            "sr": _cmd_sr,
+            "knot": _cmd_knot,
+            "seifert": _cmd_seifert,
+            "nt": _cmd_nt,
+            "table": _cmd_table,
+        }
+        try:
+            return handlers[args.group](args)
+        except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError:
+            print("error: out of memory", file=sys.stderr)
+            return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

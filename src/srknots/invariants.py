@@ -51,6 +51,11 @@ _SIEVE_PRIMES = tuple(
 )
 
 
+def _strike(flags: bytearray, start: int, step: int) -> None:
+    """Clear flags[start], flags[start + step], ... up to the sentinel."""
+    flags[start:-1:step] = bytes(len(range(start, len(flags) - 1, step)))
+
+
 def _pm_divisors(n: int) -> Iterator[int]:
     """The values 2^s +- 1 in (1, n] that divide n, largest first.
 
@@ -58,42 +63,86 @@ def _pm_divisors(n: int) -> Iterator[int]:
     (3 = 2^1 + 1 = 2^2 - 1); the factor 1 is excluded so that factor chains
     strictly decrease.
 
-    Each s costs a few linear big-int steps, not a full remainder:
+    Most s are struck before any big-int step, and each survivor costs a few
+    linear ones, not a full remainder:
 
     - Sieve.  For an odd prime q with e = ord_q(2), q | 2^s - 1 iff e | s,
       and q | 2^s + 1 iff e is even and s = e/2 (mod e).  So a small prime
-      q that does not divide n strikes those s from the candidates; the
-      survivors are tested exactly.
+      q that does not divide n strikes those s from the candidates.
+    - Window.  For s >= top/2, where top is the bit length of n, n < 2^(2s)
+      splits as hi * 2^s + lo with hi < 2^(top-s) <= 2^s.  Then 2^s - 1 | n
+      forces lo + hi to be 2^s - 1 or 2(2^s - 1), and 2^s + 1 | n forces
+      lo = hi; either way bits top-s .. s-1 of n are all ones (minus) or
+      all zeros (plus).  That window grows with s, so the zero (or one)
+      bit of n nearest the middle gives the first s it rules out, and every
+      larger s is struck with it.
+    - Closure.  The survivors are tested from s = 1 up, and a failed test
+      strikes what it implies: 2^d - 1 divides 2^(kd) - 1, and 2^d + 1
+      divides 2^(kd) + 1 for odd k and 2^(2kd) - 1 for every k.  So if
+      2^d - 1 does not divide n, minus is struck at the multiples of d; if
+      2^d + 1 does not, plus is struck at 3d, 5d, ... and minus at the
+      multiples of 2d.  The next survivor is found with `bytearray.find`.
     - Fold.  2^(2s) = 1 (mod 2^(2s) - 1), so splitting r at a multiple h of
       2s and replacing it with (r mod 2^h) + (r >> h) keeps its class modulo
       both 2^s - 1 and 2^s + 1.  Halving r this way down to 2s + 1 bits and
       splitting it at s into lo and hi leaves lo + hi = n (mod 2^s - 1) and
-      lo - hi = n (mod 2^s + 1), so the final remainders act on s-bit values.
+      lo - hi = n (mod 2^s + 1), so the exact test acts on s-bit values.
     """
     if n < 2:
         return
     top = n.bit_length()
-    minus = bytearray([1]) * (top + 1)  # minus[s]: 2^s - 1 may divide n
-    plus = bytearray([1]) * (top + 1)  # plus[s]: 2^s + 1 may divide n
+    # minus[s] (plus[s]): 2^s - 1 (2^s + 1) may divide n.  Index top + 1 is
+    # a sentinel that is never struck, so `find` always ends on a survivor.
+    minus = bytearray([1]) * (top + 2)
+    plus = bytearray([1]) * (top + 2)
     minus[:3] = bytes(3)  # 2^s - 1 < 3 is no factor, and 3 is 2^1 + 1
+    plus[0] = 0  # 2 = 2^0 + 1 is the parity test at the end
     for q, e in _SIEVE_PRIMES:
         if n % q:
-            minus[::e] = bytes(len(range(0, top + 1, e)))
+            _strike(minus, 0, e)
             if e % 2 == 0:
-                plus[e // 2 :: e] = bytes(len(range(e // 2, top + 1, e)))
-    for s in range(top, 0, -1):
-        if not (plus[s] or minus[s]):
-            continue
+                _strike(plus, e // 2, e)
+    # Bit j lies in the window of every s >= max(j + 1, top - j), which is
+    # j + 1 for j >= c and top - j below c.  So the lowest zero (one) bit at
+    # or above c and the highest below c give the first s struck for minus
+    # (plus); top + 1 when there is none.
+    c = top // 2
+    high, low = n >> c, n & ((1 << c) - 1)
+    zero_above = (~high & (high + 1)).bit_length() + c  # lowest zero, plus one
+    one_above = (high & -high).bit_length() + c
+    zero_below = top - (low ^ ((1 << c) - 1)).bit_length() + 1
+    one_below = top - low.bit_length() + 1
+    _strike(minus, min(zero_above, zero_below), 1)
+    _strike(plus, min(one_above, one_below), 1)
+    found = []  # ascending
+    s = next_minus = next_plus = 0
+    while True:
+        if next_minus < s or not minus[next_minus]:
+            next_minus = minus.find(1, s)
+        if next_plus < s or not plus[next_plus]:
+            next_plus = plus.find(1, s)
+        s = min(next_minus, next_plus)
+        if s > top:
+            break
         width = 2 * s
         r = n
         while r.bit_length() > width + 1:
             h = -(-(r.bit_length() // 2) // width) * width
             r = (r & ((1 << h) - 1)) + (r >> h)
         lo, hi = r & ((1 << s) - 1), r >> s
-        if plus[s] and (lo - hi) % ((1 << s) + 1) == 0:
-            yield (1 << s) + 1
-        if minus[s] and (lo + hi) % ((1 << s) - 1) == 0:
-            yield (1 << s) - 1
+        if minus[s]:
+            if (lo + hi) % ((1 << s) - 1) == 0:
+                found.append((1 << s) - 1)
+            else:
+                _strike(minus, s, s)
+        if plus[s]:
+            if (lo - hi) % ((1 << s) + 1) == 0:
+                found.append((1 << s) + 1)
+            else:
+                _strike(plus, 3 * s, 2 * s)
+                _strike(minus, 2 * s, 2 * s)
+        s += 1
+    yield from reversed(found)
     if n % 2 == 0:
         yield 2
 
@@ -106,12 +155,21 @@ def is_pm_power_product(n: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     is depth-first with an explicit stack, so deep factor chains cannot
     exhaust the interpreter's recursion limit.
 
-    The candidate factors come from one scan of n (`_pm_divisors`), linear
-    per s through two facts: 2^(2s) = 1 (mod 2^(2s) - 1), so n folds to 2s
-    bits without changing its classes modulo 2^s - 1 and 2^s + 1; and for an
-    odd prime q, q | 2^s - 1 iff ord_q(2) | s, while q | 2^s + 1 iff
-    s = ord_q(2)/2 (mod ord_q(2)), so small primes not dividing n rule out
-    most s before any big-int step.
+    The candidate factors come from one scan of n (`_pm_divisors`) that
+    rules out most s before any big-int step:
+
+    - an odd prime q that does not divide n strikes every s with
+      q | 2^s +- 1, which ord_q(2) decides;
+    - every s >= top/2 (top = bit length of n) is struck at once past the
+      first s whose window, bits top-s .. s-1 of n, is not all ones (for
+      2^s - 1) or not all zeros (for 2^s + 1);
+    - the rest are tested from s = 1 up, and a failed test strikes its
+      consequences: 2^d - 1 not dividing n strikes 2^(kd) - 1, and 2^d + 1
+      not dividing n strikes 2^(kd) + 1 for odd k and 2^(2kd) - 1.
+
+    Each test that remains is linear in the bit length: 2^(2s) = 1
+    (mod 2^(2s) - 1), so n folds to 2s bits without changing its classes
+    modulo 2^s - 1 and 2^s + 1.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -16,15 +17,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv, **kwargs):
+def run_cli_process(*argv, entry=("-c", "from srknots.cli import run; run()"), **kwargs):
     """The CLI in a fresh interpreter that imports this checkout's srknots."""
     src = os.path.dirname(os.path.dirname(srknots.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", "from srknots.cli import run; run()", *argv],
+        [sys.executable, *entry, *argv],
         env=env, capture_output=True, text=True, **kwargs,
     )
+
+
+@contextlib.contextmanager
+def uncapped_int_strings():
+    """Python's int <-> str cap lifted, for building the expected text."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestPolyCommands:
@@ -43,6 +55,18 @@ class TestPolyCommands:
     def test_bad_poly_exits_1(self, capsys):
         code, _, err = run(capsys, "poly", "eval", "--poly", "2 +* t", "--at", "1")
         assert code == 1 and "error:" in err
+
+    def test_values_and_literals_above_int_string_cap(self, capsys):
+        with uncapped_int_strings():
+            big = str(7**6000)
+            power = str(2**20000 - 1)
+        for argv, want in [
+            (("--poly", "t^20000 - 1", "--at", "2"), power),
+            (("--poly", f"{big}*t", "--at", "1"), big),
+            (("--poly", "t", "--at", big), big),
+        ]:
+            code, out, _ = run(capsys, "poly", "eval", *argv)
+            assert code == 0 and out == want + "\n"
 
     def test_zero_poly_normalize_exits_1(self, capsys):
         code, _, err = run(capsys, "poly", "normalize", "--poly", "t - t")
@@ -112,6 +136,15 @@ class TestKnotCommand:
     def test_invariants_line(self, capsys):
         code, out, _ = run(capsys, "knot", "invariants", "--poly", "2 - 5*t + 2*t^2")
         assert code == 0 and out == "delta2=0 det=9 symmetric=true\n"
+
+    def test_delta2_above_int_string_cap(self, capsys):
+        # 1 - 2^10000 + 2^20000 is odd, has 6,021 digits and is its own delta2.
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "knot", "invariants", "--poly", "1 - t^10000 + t^20000")
+        assert sys.get_int_max_str_digits() == limit
+        with uncapped_int_strings():
+            want = f"delta2={1 - 2**10000 + 2**20000} det=1 symmetric=true\n"
+        assert (code, out, err) == (0, want, "")
 
 
 class TestSeifertCommand:
@@ -222,6 +255,21 @@ class TestTableCommand:
 
 
 class TestUsageErrors:
+    def test_usage_error_restores_int_string_cap(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit):
+            main(["poly", "eval", "--poly", "t"])
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_python_m_runs_the_cli(self):
+        for argv, code, out in [
+            (("knot", "invariants", "--poly", "2 - 5*t + 2*t^2"), 0, "delta2=0 det=9 symmetric=true\n"),
+            (("poly", "eval", "--poly", "2 +* t", "--at", "1"), 1, ""),
+            (("frobnicate",), 2, ""),
+        ]:
+            done = run_cli_process(*argv, entry=("-m", "srknots.cli"), timeout=60)
+            assert (done.returncode, done.stdout) == (code, out), done.stderr
+
     def test_unknown_group_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -190,6 +190,85 @@ class TestPmDivisors:
         assert product == n
         assert list(witness) == sorted(witness, reverse=True)
 
+    # The scan strikes every s >= top/2 from the bits of n around its middle
+    # (top = bit length of n), and each failed exact test strikes the
+    # multiples of s it implies.  The cases below sit on the edges of both.
+
+    def test_cofactors_putting_s_at_the_middle(self):
+        rng = random.Random(17)
+        for s in range(1, 160):
+            for sign in (1, -1):
+                v = pm_value(s, sign)
+                if v < 3:
+                    continue
+                for top in (2 * s - 1, 2 * s, 2 * s + 1):
+                    hits = 0
+                    for k in (top - v.bit_length(), top - v.bit_length() + 1):
+                        for _ in range(3 if k >= 1 else 0):
+                            n = v * (rng.getrandbits(k) | 1 << (k - 1))
+                            if n.bit_length() == top:
+                                hits += 1
+                                self.assert_matches_reference(n)
+                                self.assert_matches_reference(n * 3)
+                    assert hits or top <= v.bit_length(), (s, sign, top)
+
+    def test_empty_window_at_two_to_the_2s_minus_one(self):
+        # n = 2^(2s) - 1 splits as hi = lo = 2^s - 1, so lo + hi = 2(2^s - 1)
+        # and the window of s is empty.
+        rng = random.Random(19)
+        for s in range(1, 200):
+            n = (1 << 2 * s) - 1
+            self.assert_matches_reference(n)
+            self.assert_matches_reference(n << rng.randrange(1, 8))
+            self.assert_matches_reference(n * pm_value(rng.randrange(1, 2 * s), -1))
+
+    def test_long_runs_across_the_middle_bit(self):
+        rng = random.Random(23)
+        for top in range(4, 260):
+            for _ in range(6):
+                a = rng.randrange(top // 2 + 1)
+                b = rng.randrange(top // 2, top)
+                run = ((1 << (b - a + 1)) - 1) << a
+                noise = rng.getrandbits(top - 1)
+                ones = (1 << (top - 1)) | run | noise
+                zeros = (1 << (top - 1)) | (noise & ~run)
+                for n in (ones, zeros, ones ^ (1 << rng.randrange(top - 1))):
+                    self.assert_matches_reference(n)
+            # Exact multiples, one bit away from them, and the same built
+            # so that the window holds and only the exact test can decide.
+            s = rng.randrange((top + 1) // 2, top)
+            hi = rng.getrandbits(top - s) | 1 << (top - s - 1)
+            for n in ((hi << s) | ((1 << s) - 1 - hi), (hi << s) | hi):
+                self.assert_matches_reference(n)
+                for j in (top - s - 1, top - s, s - 1, s):
+                    self.assert_matches_reference(n ^ (1 << j))
+
+    def test_composite_exponents_with_one_dividing_factor(self):
+        # 2^a +- 1 divides n but 2^b +- 1 does not, for exponents near ab:
+        # a strike from b must not reach a multiple of a that divides n.
+        rng = random.Random(29)
+        seen = 0
+        for a in range(1, 13):
+            for b in range(2, 13):
+                if a == b:
+                    continue
+                bases = [(1 << a * b) - 1, (1 << a * b) + 1]
+                bases.append(((1 << a * b) - 1) // ((1 << b) - 1))
+                if a % 2:
+                    bases.append(((1 << a * b) + 1) // ((1 << b) + 1))
+                for base in bases:
+                    for cofactor in (1, rng.getrandbits(a * b) | 1, pm_value(a, -1) * 7):
+                        n = base * cofactor
+                        self.assert_matches_reference(n)
+                        self.assert_matches_reference(n << 1)
+                        seen += any(
+                            n % pm_value(a, x) == 0 and n % pm_value(b, y)
+                            for x in (1, -1)
+                            for y in (1, -1)
+                            if pm_value(a, x) > 1 and pm_value(b, y) > 1
+                        )
+        assert seen > 100
+
 
 class TestPmPowerProduct:
     def test_witness_for_35(self):
