@@ -253,35 +253,42 @@ def _ok(flag: bool) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # Exact values (delta2 of a wide polynomial, an evaluation, a coefficient
-    # literal) run past Python's 4,300-digit cap on int <-> str conversion,
-    # so the cap is lifted while a command runs and restored after it.  The
-    # cap is process-wide: threads that call main at once share it.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    """Run one command and return its exit code.
+
+    Python's int <-> str cap stays as the caller set it; `run` raises it.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    handlers = {
+        "poly": _cmd_poly,
+        "sr": _cmd_sr,
+        "knot": _cmd_knot,
+        "seifert": _cmd_seifert,
+        "nt": _cmd_nt,
+        "table": _cmd_table,
+    }
     try:
-        args = build_parser().parse_args(argv)
-        handlers = {
-            "poly": _cmd_poly,
-            "sr": _cmd_sr,
-            "knot": _cmd_knot,
-            "seifert": _cmd_seifert,
-            "nt": _cmd_nt,
-            "table": _cmd_table,
-        }
-        try:
-            return handlers[args.group](args)
-        except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except MemoryError:
-            print("error: out of memory", file=sys.stderr)
-            return 1
-    finally:
-        sys.set_int_max_str_digits(limit)
+        return handlers[args.group](args)
+    except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
+
+
+# Exact values (delta2 of a wide polynomial, an evaluation, a coefficient
+# literal) run past Python's default 4,300-digit cap on int <-> str
+# conversion.  The command raises the cap, but keeps it finite: before
+# Python 3.12 that conversion is quadratic (a 400,000-digit int prints in
+# about 3 s on a 2-core x86-64 VM under Python 3.11), so anything longer
+# ends with `error:` and exit 1 instead of printing for minutes.
+_INT_STR_DIGITS = 400_000
 
 
 def run() -> None:
+    """Process entry point: set the int <-> str cap once, then run main."""
+    sys.set_int_max_str_digits(_INT_STR_DIGITS)
     raise SystemExit(main())
 
 

@@ -42,13 +42,16 @@ def _order_of_two(q: int) -> int:
     return e
 
 
-# (q, ord_q(2)) for the odd primes q < 256.  A larger bound strikes few more
-# s but costs far more to tabulate at import.
-_SIEVE_PRIMES = tuple(
-    (q, _order_of_two(q))
-    for q in range(3, 256, 2)
-    if all(q % d for d in range(3, int(q**0.5) + 1, 2))
-)
+# (q, ord_q(2)) for the odd primes q < 256, by increasing order.  A larger
+# bound strikes few more s but costs far more to tabulate at import.
+_SIEVE_PRIMES = tuple(sorted(
+    (
+        (q, _order_of_two(q))
+        for q in range(3, 256, 2)
+        if all(q % d for d in range(3, int(q**0.5) + 1, 2))
+    ),
+    key=lambda qe: qe[1],
+))
 
 
 def _strike(flags: bytearray, start: int, step: int) -> None:
@@ -68,7 +71,10 @@ def _pm_divisors(n: int) -> Iterator[int]:
 
     - Sieve.  For an odd prime q with e = ord_q(2), q | 2^s - 1 iff e | s,
       and q | 2^s + 1 iff e is even and s = e/2 (mod e).  So a small prime
-      q that does not divide n strikes those s from the candidates.
+      q that does not divide n strikes those s from the candidates.  A
+      prime with e > 2 * top strikes no s <= top, so the primes are taken
+      by increasing order and the sieve stops at the first such one; for
+      the few-bit values of most knot tables it costs a handful of steps.
     - Window.  For s >= top/2, where top is the bit length of n, n < 2^(2s)
       splits as hi * 2^s + lo with hi < 2^(top-s) <= 2^s.  Then 2^s - 1 | n
       forces lo + hi to be 2^s - 1 or 2(2^s - 1), and 2^s + 1 | n forces
@@ -98,6 +104,8 @@ def _pm_divisors(n: int) -> Iterator[int]:
     minus[:3] = bytes(3)  # 2^s - 1 < 3 is no factor, and 3 is 2^1 + 1
     plus[0] = 0  # 2 = 2^0 + 1 is the parity test at the end
     for q, e in _SIEVE_PRIMES:
+        if e > 2 * top:  # strikes no s <= top, nor does any later prime
+            break
         if n % q:
             _strike(minus, 0, e)
             if e % 2 == 0:
@@ -115,13 +123,9 @@ def _pm_divisors(n: int) -> Iterator[int]:
     _strike(minus, min(zero_above, zero_below), 1)
     _strike(plus, min(one_above, one_below), 1)
     found = []  # ascending
-    s = next_minus = next_plus = 0
+    s = 0
     while True:
-        if next_minus < s or not minus[next_minus]:
-            next_minus = minus.find(1, s)
-        if next_plus < s or not plus[next_plus]:
-            next_plus = plus.find(1, s)
-        s = min(next_minus, next_plus)
+        s = min(minus.find(1, s), plus.find(1, s))
         if s > top:
             break
         width = 2 * s

@@ -56,7 +56,7 @@ class TestPolyCommands:
         code, _, err = run(capsys, "poly", "eval", "--poly", "2 +* t", "--at", "1")
         assert code == 1 and "error:" in err
 
-    def test_values_and_literals_above_int_string_cap(self, capsys):
+    def test_values_and_literals_above_int_string_cap(self):
         with uncapped_int_strings():
             big = str(7**6000)
             power = str(2**20000 - 1)
@@ -65,8 +65,19 @@ class TestPolyCommands:
             (("--poly", f"{big}*t", "--at", "1"), big),
             (("--poly", "t", "--at", big), big),
         ]:
-            code, out, _ = run(capsys, "poly", "eval", *argv)
-            assert code == 0 and out == want + "\n"
+            done = run_cli_process("poly", "eval", *argv, timeout=60)
+            assert (done.returncode, done.stdout) == (0, want + "\n"), done.stderr
+
+    def test_values_above_the_cli_digit_cap_exit_1_promptly(self):
+        # 2^10^7 and this delta2 have over 3,000,000 digits; printing them
+        # would take minutes, so the command refuses them at once.
+        for argv in [
+            ("poly", "eval", "--poly", "t^10000000", "--at", "2"),
+            ("knot", "invariants", "--poly", "1 - t^5000000 + t^10000000"),
+        ]:
+            done = run_cli_process(*argv, timeout=30)
+            assert done.returncode == 1 and done.stdout == ""
+            assert done.stderr.startswith("error:")
 
     def test_zero_poly_normalize_exits_1(self, capsys):
         code, _, err = run(capsys, "poly", "normalize", "--poly", "t - t")
@@ -137,14 +148,12 @@ class TestKnotCommand:
         code, out, _ = run(capsys, "knot", "invariants", "--poly", "2 - 5*t + 2*t^2")
         assert code == 0 and out == "delta2=0 det=9 symmetric=true\n"
 
-    def test_delta2_above_int_string_cap(self, capsys):
+    def test_delta2_above_int_string_cap(self):
         # 1 - 2^10000 + 2^20000 is odd, has 6,021 digits and is its own delta2.
-        limit = sys.get_int_max_str_digits()
-        code, out, err = run(capsys, "knot", "invariants", "--poly", "1 - t^10000 + t^20000")
-        assert sys.get_int_max_str_digits() == limit
+        done = run_cli_process("knot", "invariants", "--poly", "1 - t^10000 + t^20000", timeout=60)
         with uncapped_int_strings():
             want = f"delta2={1 - 2**10000 + 2**20000} det=1 symmetric=true\n"
-        assert (code, out, err) == (0, want, "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
 
 
 class TestSeifertCommand:
@@ -255,12 +264,6 @@ class TestTableCommand:
 
 
 class TestUsageErrors:
-    def test_usage_error_restores_int_string_cap(self, capsys):
-        limit = sys.get_int_max_str_digits()
-        with pytest.raises(SystemExit):
-            main(["poly", "eval", "--poly", "t"])
-        assert sys.get_int_max_str_digits() == limit
-
     def test_python_m_runs_the_cli(self):
         for argv, code, out in [
             (("knot", "invariants", "--poly", "2 - 5*t + 2*t^2"), 0, "delta2=0 det=9 symmetric=true\n"),
