@@ -252,6 +252,13 @@ def _ok(flag: bool) -> str:
     return "ok" if flag else "FAIL"
 
 
+def _message(exc: Exception) -> str:
+    """The error text, with Python's int <-> str cap stated as this command's limit."""
+    if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+        return f"a value has more than {sys.get_int_max_str_digits()} digits, the limit of this command"
+    return str(exc)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return its exit code.
 
@@ -270,7 +277,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return handlers[args.group](args)
     except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)

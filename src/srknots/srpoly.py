@@ -98,9 +98,33 @@ def f_factor(params: SRParams) -> LaurentPoly:
 
 
 def F_factor(params: SRParams) -> NormalForm:
-    """Normalized symmetric factor f(t) * f(1/t)."""
-    f = f_factor(params)
-    return normalize(f * f.substitute_inverse())
+    """Normalized symmetric factor f(t) * f(1/t), in closed form.
+
+    With s = p + l, f(t) = (1 - t)^m - (-1)^p t^s, and Vandermonde's identity
+    turns f(t) f(1/t) into
+
+        sum_{i=-m..m} (-1)^i C(2m, m+i) t^i + 1
+            - (-1)^p sum_{k=0..m} (-1)^k C(m, k) (t^(s-k) + t^(k-s)).
+
+    That is O(m) binomial terms in place of a term-pair product, and shows
+    that F depends only on the key (m, s, p mod 2).  The sum is symmetric
+    under t -> 1/t, so only the coefficients of t^e for e >= 0 are summed.
+    """
+    m, p = params.m, params.p
+    s = p + params.l
+    half = [0] * (max(m, s, m - s) + 1)
+    for i in range(m + 1):
+        half[i] = _sign(i) * comb(2 * m, m + i)
+    half[0] += 1
+    for k in range(m + 1):
+        # t^(s-k) and t^(k-s) land on e = |s - k| and -e, both on 0 when k = s.
+        half[abs(s - k)] -= _sign(p + k) * comb(m, k) * (2 if k == s else 1)
+    while not half[-1]:
+        half.pop()
+    top = len(half) - 1
+    if half[top] < 0:
+        half = [-c for c in half]
+    return NormalForm(LaurentPoly({j: half[abs(j - top)] for j in range(2 * top + 1)}))
 
 
 def product_formula(factors: SRDecomposition) -> NormalForm:

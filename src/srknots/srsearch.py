@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 
 from .invariants import delta2, is_pm_power_product, symmetry_check
 from .laurent import LaurentPoly, NormalForm, divide_exact, eval_int, parse
-from .srpoly import F_factor, SRDecomposition, SRParams, factor_span, gh_factors, product_formula
+from .srpoly import F_factor, SRDecomposition, SRParams, gh_factors, product_formula
 
 __all__ = [
     "Verdict",
@@ -43,9 +43,11 @@ __all__ = [
 # The only factor polynomial with delta2 = 1 besides units.
 DELTA2_ONE_QUARTIC = parse("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
 
-# Widest target `decompose` searches.  The candidate table grows about as the
-# cube of the span (built in 1.8 s at span 48 and 6 s at 64 on a Xeon core,
-# Python 3.11), so wider inputs are refused rather than searched for minutes.
+# Widest target `decompose` searches.  The candidate table itself is cheap
+# (span 48 in 0.05 s and 64 in 0.12 s on a 2-core x86-64 VM, Python 3.11),
+# but its parameter triples grow about as the cube of the span, and with them
+# the alias expansion of every certificate and the peel, so wider inputs are
+# refused rather than searched for minutes.
 MAX_SEARCH_SPAN = 64
 
 
@@ -83,28 +85,66 @@ class _Candidate:
     at_2: int
 
 
-@lru_cache(maxsize=64)
+def _layer_keys(h: int) -> list[tuple[int, int, int]]:
+    """Every key (m, s, p mod 2) whose factor has span exactly 2h >= 2.
+
+    Straight from `factor_span`'s cases: the two cancellations at m = h + 1,
+    then s = m - h < 0 and s = h > m for m < h, then 0 <= s <= m = h.
+    """
+    keys = [(h + 1, 0, 0), (h + 1, h + 1, (h + 1) % 2)]
+    keys += [(m, s, par) for m in range(1, h) for s in (m - h, h) for par in (0, 1)]
+    keys += [
+        (h, s, par)
+        for s in range(h + 1)
+        for par in (0, 1)
+        if (s, par) not in ((0, 0), (h, h % 2))
+    ]
+    return keys
+
+
+@lru_cache(maxsize=MAX_SEARCH_SPAN // 2)
+def _layer(h: int) -> tuple[_Candidate, ...]:
+    """The candidates of span exactly 2h, sorted by aliases."""
+    by_key: dict[tuple[int, int, int], LaurentPoly] = {}
+    groups: dict[LaurentPoly, list[tuple[int, int, int]]] = {}
+    for key in _layer_keys(h):
+        m, s, par = key
+        # The mirror (m, -l, m - p) of every alias of a key is an alias of
+        # this key's mirror, so the two share one F.
+        f = by_key.get((m, m - s, (m - par) % 2))
+        if f is None:
+            f = F_factor(SRParams(m, s - par, par)).poly
+        by_key[key] = f
+        groups.setdefault(f, []).extend((m, s - p, p) for p in range(par, m + 1, 2))
+    found = [
+        _Candidate(
+            tuple(SRParams(*t) for t in sorted(triples)),
+            f,
+            f.span,
+            abs(eval_int(f, -1)),
+            eval_int(f, 2),
+        )
+        for f, triples in groups.items()
+    ]
+    found.sort(key=lambda c: c.aliases)
+    return tuple(found)
+
+
 def _candidates(max_span: int) -> tuple[_Candidate, ...]:
     """Distinct factor polynomials with 2 <= span <= max_span, with aliases.
 
-    Sorted by span, then aliases.  The span of f(t;m,l,p) is at least m - 1
-    and at least |p + l| - trivia, which bounds m and p + l once the span
-    budget is fixed; the filter below then applies the exact span formula.
+    Sorted by span, then aliases.  f(t; m, l, p) = (1 - t)^m - (-1)^p t^(p+l)
+    depends only on the key (m, s = p + l, p mod 2), and so does its span, so
+    each span layer lists its keys by `factor_span`'s cases and expands each
+    key into its aliases p = par, par + 2, ... <= m, l = s - p.  The key
+    (m, s, par) and its mirror (m, m - s, (m - par) mod 2) share one F,
+    computed once; grouping by polynomial merges any rarer coincidence.
+    Every alias of a polynomial has that polynomial's span, so the table is
+    the layers 1..max_span // 2 joined, each built once per process.
     """
-    budget = max_span // 2
-    groups: dict[LaurentPoly, list[SRParams]] = {}
-    for m in range(1, budget + 2):
-        for p in range(m + 1):
-            for s in range(min(m - budget, 0), max(budget, m) + 1):
-                prm = SRParams(m, s - p, p)
-                if 2 <= factor_span(prm) <= max_span:
-                    groups.setdefault(F_factor(prm).poly, []).append(prm)
-    found = [
-        _Candidate(tuple(sorted(prms)), f, f.span, abs(eval_int(f, -1)), eval_int(f, 2))
-        for f, prms in groups.items()
-    ]
-    found.sort(key=lambda c: (c.span, c.aliases))
-    return tuple(found)
+    if max_span > MAX_SEARCH_SPAN:
+        raise ValueError(f"span {max_span} is above the search budget of {MAX_SEARCH_SPAN}")
+    return tuple(chain.from_iterable(_layer(h) for h in range(1, max_span // 2 + 1)))
 
 
 def decompose(dp: NormalForm) -> list[SRDecomposition]:

@@ -78,6 +78,7 @@ class TestPolyCommands:
             done = run_cli_process(*argv, timeout=30)
             assert done.returncode == 1 and done.stdout == ""
             assert done.stderr.startswith("error:")
+            assert "set_int_max_str_digits" not in done.stderr
 
     def test_zero_poly_normalize_exits_1(self, capsys):
         code, _, err = run(capsys, "poly", "normalize", "--poly", "t - t")

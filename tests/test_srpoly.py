@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from srknots.laurent import (
     LaurentPoly,
     eval_int,
     equal_up_to_unit,
+    normalize,
     parse,
 )
 from srknots.srpoly import (
@@ -104,6 +107,35 @@ class TestSymmetricFactor:
             F = F_factor(prm)
             expected = (2**prm.m - (-1) ** prm.l) ** 2
             assert abs(eval_int(F.poly, -1)) == expected, prm
+
+
+class TestClosedFormFactor:
+    def test_matches_term_pair_product(self):
+        # Every m <= 40, |l| <= m + 3, 0 <= p <= m.  The product depends only
+        # on f, so it is formed once per distinct f.
+        products = {}
+        for m in range(1, 41):
+            for l in range(-m - 3, m + 4):
+                for p in range(m + 1):
+                    prm = SRParams(m, l, p)
+                    f = f_factor(prm)
+                    if f not in products:
+                        products[f] = normalize(f * f.substitute_inverse())
+                    assert F_factor(prm) == products[f], prm
+
+    def test_matches_sympy_expand(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(10)
+        for _ in range(40):
+            m = rng.randint(1, 30)
+            prm = SRParams(m, rng.randint(-m - 5, m + 5), rng.randint(0, m))
+            f = (1 - t) ** prm.m - t**prm.l * (-t) ** prm.p
+            # t^shift clears every negative exponent of f(t) f(1/t).
+            shift = prm.m + abs(prm.p + prm.l)
+            raw = sympy.Poly(sympy.expand(f * f.subs(t, 1 / t) * t**shift), t).as_dict()
+            expected = normalize(LaurentPoly({k: int(c) for (k,), c in raw.items()}))
+            assert F_factor(prm) == expected, prm
 
 
 class TestProductFormula:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -9,7 +10,7 @@ import pytest
 import srknots
 from srknots import numtheory, srsearch
 from srknots.laurent import LaurentPoly, divide_exact, eval_int, normalize, parse
-from srknots.srpoly import SRDecomposition, SRParams, F_factor, factor_span, product_formula
+from srknots.srpoly import SRDecomposition, SRParams, F_factor, f_factor, factor_span, product_formula
 from srknots.srsearch import (
     DELTA2_ONE_QUARTIC,
     Obstruction,
@@ -199,6 +200,44 @@ def _triple_by_triple_decompose(target):
     return sorted(results, key=lambda d: d.factors)
 
 
+def product_factor(prm):
+    """F(t; m, l, p) as the normalized term-pair product f(t) * f(1/t)."""
+    f = f_factor(prm)
+    return normalize(f * f.substitute_inverse()).poly
+
+
+@functools.lru_cache(maxsize=None)
+def reference_candidates(max_span):
+    """The candidate table from the cubic loop over triples, one product per triple."""
+    budget = max_span // 2
+    groups = {}
+    for m in range(1, budget + 2):
+        for p in range(m + 1):
+            for s in range(min(m - budget, 0), max(budget, m) + 1):
+                prm = SRParams(m, s - p, p)
+                if 2 <= factor_span(prm) <= max_span:
+                    groups.setdefault(product_factor(prm), []).append(prm)
+    found = [
+        srsearch._Candidate(tuple(sorted(prms)), f, f.span, abs(eval_int(f, -1)), eval_int(f, 2))
+        for f, prms in groups.items()
+    ]
+    found.sort(key=lambda c: (c.span, c.aliases))
+    return tuple(found)
+
+
+class TestCandidateTable:
+    def test_matches_the_triple_loop_at_every_span(self):
+        reference = reference_candidates(48)
+        for max_span in range(49):
+            expected = tuple(c for c in reference if c.span <= max_span)
+            assert srsearch._candidates(max_span) == expected, max_span
+
+    def test_span_64_counts(self):
+        table = srsearch._candidates(64)
+        assert len(table) == 1566
+        assert sum(len(c.aliases) for c in table) == 24464
+
+
 class TestPolynomialPeel:
     def test_matches_triple_by_triple_search(self):
         rng = random.Random(4)
@@ -213,7 +252,7 @@ class TestPolynomialPeel:
         assert len({c.poly for c in table}) == len(table)
         for cand in table:
             assert list(cand.aliases) == sorted(cand.aliases)
-            assert all(F_factor(prm).poly == cand.poly for prm in cand.aliases)
+            assert all(product_factor(prm) == cand.poly for prm in cand.aliases)
         spans = [c.span for c in table]
         assert spans == sorted(spans)
         assert sum(len(c.aliases) for c in table) == 1534
@@ -264,5 +303,9 @@ class TestCertificateCheck:
 
 
 def test_caches_are_bounded():
-    assert srsearch._candidates.cache_info().maxsize is not None
+    assert srsearch._layer.cache_info().maxsize == srsearch.MAX_SEARCH_SPAN // 2
     assert numtheory._prime_support.cache_info().maxsize is not None
+    cached = srsearch._layer.cache_info().currsize
+    with pytest.raises(ValueError):
+        srsearch._candidates(srsearch.MAX_SEARCH_SPAN + 2)
+    assert srsearch._layer.cache_info().currsize == cached
