@@ -108,23 +108,23 @@ def F_factor(params: SRParams) -> NormalForm:
 
     That is O(m) binomial terms in place of a term-pair product, and shows
     that F depends only on the key (m, s, p mod 2).  The sum is symmetric
-    under t -> 1/t, so only the coefficients of t^e for e >= 0 are summed.
+    under t -> 1/t, so only the coefficients of t^e for e >= 0 are summed,
+    sparsely: the cost is O(m) however large |s| is.
     """
     m, p = params.m, params.p
     s = p + params.l
-    half = [0] * (max(m, s, m - s) + 1)
-    for i in range(m + 1):
-        half[i] = _sign(i) * comb(2 * m, m + i)
+    half = {i: _sign(i) * comb(2 * m, m + i) for i in range(m + 1)}
     half[0] += 1
     for k in range(m + 1):
         # t^(s-k) and t^(k-s) land on e = |s - k| and -e, both on 0 when k = s.
-        half[abs(s - k)] -= _sign(p + k) * comb(m, k) * (2 if k == s else 1)
-    while not half[-1]:
-        half.pop()
-    top = len(half) - 1
-    if half[top] < 0:
-        half = [-c for c in half]
-    return NormalForm(LaurentPoly({j: half[abs(j - top)] for j in range(2 * top + 1)}))
+        e = abs(s - k)
+        half[e] = half.get(e, 0) - _sign(p + k) * comb(m, k) * (2 if k == s else 1)
+    top = max(e for e, c in half.items() if c)
+    sign = -1 if half[top] < 0 else 1
+    coeffs = {}
+    for e, c in half.items():
+        coeffs[top - e] = coeffs[top + e] = sign * c
+    return NormalForm(LaurentPoly(coeffs))
 
 
 def product_formula(factors: SRDecomposition) -> NormalForm:

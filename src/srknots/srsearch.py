@@ -44,7 +44,7 @@ __all__ = [
 DELTA2_ONE_QUARTIC = parse("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
 
 # Widest target `decompose` searches.  The candidate table itself is cheap
-# (span 48 in 0.05 s and 64 in 0.12 s on a 2-core x86-64 VM, Python 3.11),
+# (span 48 in 0.1 s and 64 in 0.16 s on a 2-core x86-64 VM, Python 3.11),
 # but its parameter triples grow about as the cube of the span, and with them
 # the alias expansion of every certificate and the peel, so wider inputs are
 # refused rather than searched for minutes.
@@ -105,16 +105,9 @@ def _layer_keys(h: int) -> list[tuple[int, int, int]]:
 @lru_cache(maxsize=MAX_SEARCH_SPAN // 2)
 def _layer(h: int) -> tuple[_Candidate, ...]:
     """The candidates of span exactly 2h, sorted by aliases."""
-    by_key: dict[tuple[int, int, int], LaurentPoly] = {}
     groups: dict[LaurentPoly, list[tuple[int, int, int]]] = {}
-    for key in _layer_keys(h):
-        m, s, par = key
-        # The mirror (m, -l, m - p) of every alias of a key is an alias of
-        # this key's mirror, so the two share one F.
-        f = by_key.get((m, m - s, (m - par) % 2))
-        if f is None:
-            f = F_factor(SRParams(m, s - par, par)).poly
-        by_key[key] = f
+    for m, s, par in _layer_keys(h):
+        f = F_factor(SRParams(m, s - par, par)).poly
         groups.setdefault(f, []).extend((m, s - p, p) for p in range(par, m + 1, 2))
     found = [
         _Candidate(
@@ -137,8 +130,9 @@ def _candidates(max_span: int) -> tuple[_Candidate, ...]:
     depends only on the key (m, s = p + l, p mod 2), and so does its span, so
     each span layer lists its keys by `factor_span`'s cases and expands each
     key into its aliases p = par, par + 2, ... <= m, l = s - p.  The key
-    (m, s, par) and its mirror (m, m - s, (m - par) mod 2) share one F,
-    computed once; grouping by polynomial merges any rarer coincidence.
+    (m, s, par) and its mirror (m, m - s, (m - par) mod 2) share one F, as
+    the mirror (m, -l, m - p) of each alias is an alias of the mirror key;
+    grouping by polynomial merges the two, and any rarer coincidence too.
     Every alias of a polynomial has that polynomial's span, so the table is
     the layers 1..max_span // 2 joined, each built once per process.
     """
@@ -158,8 +152,6 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
     MAX_SEARCH_SPAN raise ValueError instead of building a huge table.
     """
     target = dp.poly
-    if target.span > MAX_SEARCH_SPAN:
-        raise ValueError(f"span {target.span} is above the search budget of {MAX_SEARCH_SPAN}")
     cands = _candidates(target.span)
     results: list[SRDecomposition] = []
 

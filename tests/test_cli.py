@@ -7,7 +7,8 @@ import pytest
 
 import srknots
 from srknots.cli import main
-from srknots.laurent import LaurentPoly, parse
+from srknots.laurent import LaurentPoly, normalize, parse
+from srknots.srpoly import SRParams, f_factor
 from srknots.srsearch import MAX_SEARCH_SPAN
 
 
@@ -124,6 +125,14 @@ class TestSrCommands:
         assert code == 0
         assert out.startswith("POLY_COMPATIBLE certificates=")
         assert "F(2,0,0)" in out
+
+    def test_factor_with_huge_linking_number_is_prompt(self):
+        # F(1, 10^9, 0) has seven terms; its cost must not grow with |l|.
+        done = run_cli_process("sr", "factor", "--m", "1", "--l", "1000000000", "--p", "0",
+                               timeout=30)
+        f = f_factor(SRParams(1, 10**9, 0))
+        assert done.returncode == 0
+        assert done.stdout == f"{normalize(f * f.substitute_inverse())}\n"
 
     def test_invalid_params_exit_1(self, capsys):
         code, _, err = run(capsys, "sr", "factor", "--m", "0", "--l", "0", "--p", "0")

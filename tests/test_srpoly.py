@@ -111,11 +111,12 @@ class TestSymmetricFactor:
 
 class TestClosedFormFactor:
     def test_matches_term_pair_product(self):
-        # Every m <= 40, |l| <= m + 3, 0 <= p <= m.  The product depends only
-        # on f, so it is formed once per distinct f.
+        # Every m <= 40, |l| <= m + 3 or |l| = 10^9, 0 <= p <= m.  F's cost
+        # must follow m, not |l|.  The product depends only on f, so it is
+        # formed once per distinct f.
         products = {}
         for m in range(1, 41):
-            for l in range(-m - 3, m + 4):
+            for l in (*range(-m - 3, m + 4), -10**9, 10**9):
                 for p in range(m + 1):
                     prm = SRParams(m, l, p)
                     f = f_factor(prm)
