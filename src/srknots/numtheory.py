@@ -4,9 +4,16 @@ The determinant of a knot built from m-band fusions is (2^m - 1)^a (2^m + 1)^b,
 so questions about knots shared between band counts reduce to coincidences
 between such power products.  This module provides complete factorization,
 bounded brute-force scans over the relevant exponential Diophantine shapes
-(the `nt scan` families; three of them compare prime-support sets P(x),
-computed by the cached `_prime_support`), and the admissible-pair
-classifier for band counts (`nt pairs`).
+(the `nt scan` families), and the admissible-pair classifier for band counts
+(`nt pairs`).
+
+Three scan families (`minus`, `base`, `plus`) ask whether two values have
+the same prime support P(x), the set of primes dividing x.  They answer by
+divisibility, without factoring: for x, y >= 1, P(x) is contained in P(y)
+exactly when x divides y^k with k = x.bit_length().  If every prime of x
+divides y, each prime power p^a in x has a < k, so it divides y^k; if x
+divides y^k, each prime of x divides y^k and hence y.  So two modular
+powers decide P(x) = P(y) exactly and deterministically.
 
 All scans run on exact big integers; they are verification harnesses over
 finite boxes, not proofs.
@@ -17,8 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 __all__ = [
     "PairVerdict",
@@ -135,10 +141,12 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _prime_support(n: int) -> Tuple[int, ...]:
-    """P(n): the distinct primes dividing n, ascending; () for n = 1."""
-    return tuple(sorted(factorize(n)))
+def _same_support(x: int, y: int) -> bool:
+    """P(x) = P(y) for x, y >= 1: x divides y^bitlen(x) and y divides x^bitlen(y).
+
+    1 has empty support, so it matches only 1.
+    """
+    return pow(y, x.bit_length(), x) == 0 and pow(x, y.bit_length(), y) == 0
 
 
 def _iroot(n: int, k: int) -> int:
@@ -183,14 +191,16 @@ def scan_minus_match(A_max: int, m_max: int) -> list[tuple[int, int, int]]:
     """All (A, m, n) with A <= A_max, m_max >= m > n >= 1 and
     P(A^m - 1) = P(A^n - 1).
 
-    Every hit has m = 2, n = 1 and A of the form 2^j - 1.
+    P(x) = P(y) is decided without factoring, as x | y^bitlen(x) and
+    y | x^bitlen(y): exact, since no prime occurs in x more than
+    bitlen(x) times.  Every hit has m = 2, n = 1 and A of the form 2^j - 1.
     """
     hits = []
     for A in range(2, A_max + 1):
-        supports = {e: _prime_support(A**e - 1) for e in range(1, m_max + 1)}
+        values = {e: A**e - 1 for e in range(1, m_max + 1)}
         for m in range(2, m_max + 1):
             for n in range(1, m):
-                if supports[m] == supports[n]:
+                if _same_support(values[m], values[n]):
                     hits.append((A, m, n))
     return hits
 
@@ -201,18 +211,20 @@ def scan_base_match(
     """Hits of P(A^p + 1) = P(A + 1) for odd p > 1, and of
     P(A^q - 1) = P(A + 1) for even q, within the box.
 
-    The first list is exactly {(2, 3)}; the second holds (A, 2) for
-    A = 2^j + 1 only.
+    P(x) = P(y) is decided without factoring, as x | y^bitlen(x) and
+    y | x^bitlen(y): exact, since no prime occurs in x more than
+    bitlen(x) times.  The first list is exactly {(2, 3)}; the second holds
+    (A, 2) for A = 2^j + 1 only.
     """
     odd_hits = []
     even_hits = []
     for A in range(2, A_max + 1):
-        base = _prime_support(A + 1)
+        base = A + 1
         for p in range(3, exp_max + 1, 2):
-            if _prime_support(A**p + 1) == base:
+            if _same_support(A**p + 1, base):
                 odd_hits.append((A, p))
         for q in range(2, exp_max + 1, 2):
-            if _prime_support(A**q - 1) == base:
+            if _same_support(A**q - 1, base):
                 even_hits.append((A, q))
     return odd_hits, even_hits
 
@@ -223,19 +235,22 @@ def scan_plus_match(
     """Hits of P(A^m + 1) = P(A^n + 1) with m > n >= 1, and of
     P(A^m + 1) = P(A^n - 1) with m, n >= 1, within the box.
 
-    The first list is exactly {(2, 3, 1)}.  The second consists of the
-    families (3, 1, 1), (2, 3, 2), (3, 2, 4) and (2^j + 1, 1, 2).
+    P(x) = P(y) is decided without factoring, as x | y^bitlen(x) and
+    y | x^bitlen(y): exact, since no prime occurs in x more than
+    bitlen(x) times.  The first list is exactly {(2, 3, 1)}.  The second
+    consists of the families (3, 1, 1), (2, 3, 2), (3, 2, 4) and
+    (2^j + 1, 1, 2).
     """
     plus_plus = []
     plus_minus = []
     for A in range(2, A_max + 1):
-        plus = {e: _prime_support(A**e + 1) for e in range(1, m_max + 1)}
-        minus = {e: _prime_support(A**e - 1) for e in range(1, m_max + 1)}
+        plus = {e: A**e + 1 for e in range(1, m_max + 1)}
+        minus = {e: A**e - 1 for e in range(1, m_max + 1)}
         for m in range(1, m_max + 1):
             for n in range(1, m_max + 1):
-                if n < m and plus[m] == plus[n]:
+                if n < m and _same_support(plus[m], plus[n]):
                     plus_plus.append((A, m, n))
-                if plus[m] == minus[n]:
+                if _same_support(plus[m], minus[n]):
                     plus_minus.append((A, m, n))
     return plus_plus, plus_minus
 

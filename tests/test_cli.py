@@ -81,6 +81,20 @@ class TestPolyCommands:
             assert done.stderr.startswith("error:")
             assert "set_int_max_str_digits" not in done.stderr
 
+    def test_eval_above_the_power_budget_exits_1_promptly(self):
+        # 3^100000000 has 158 million bits; the command refuses it before
+        # forming any power instead of running for minutes.
+        done = run_cli_process("poly", "eval", "--poly", "t^100000000", "--at", "3", timeout=10)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error:") and "budget of 5,000,000 bits" in done.stderr
+
+    def test_eval_with_cancelling_large_powers(self):
+        # 3^900000 - 3 * 3^899999 forms about 2.85 million bits of powers
+        # and is 0: the budget counts work, not the printed value.
+        done = run_cli_process("poly", "eval", "--poly", "t^900000 - 3*t^899999", "--at", "3",
+                               timeout=30)
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
     def test_zero_poly_normalize_exits_1(self, capsys):
         code, _, err = run(capsys, "poly", "normalize", "--poly", "t - t")
         assert code == 1 and "error:" in err
@@ -99,6 +113,13 @@ class TestPolyCommands:
         assert done.returncode == 1
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr
+        # `poly eval` refuses that value by its power budget before it
+        # allocates; delta2 still forms 2^(10^11) and runs out of memory.
+        done = run_cli_process(
+            "knot", "invariants", "--poly", "t^100000000000 + t - 2",
+            timeout=60, preexec_fn=limit_memory,
+        )
+        assert (done.returncode, done.stderr) == (1, "error: out of memory\n")
 
 
 class TestSrCommands:
@@ -229,6 +250,21 @@ class TestNtCommands:
         lines = out.splitlines()
         assert lines[0] == "plus_plus_hits=(2,3,1)"
         assert lines[1].startswith("plus_minus_hits=(2,1,2);(2,3,2);(3,1,1)")
+
+    def test_wide_plus_scan_is_prompt(self):
+        done = run_cli_process("nt", "scan", "--family", "plus", "--bounds", "200,16", timeout=10)
+        assert done.returncode == 0, done.stderr
+        plus_plus, plus_minus = done.stdout.splitlines()
+        assert plus_plus == "plus_plus_hits=(2,3,1)"
+        families = {(3, 1, 1), (2, 3, 2), (3, 2, 4)} | {(2**j + 1, 1, 2) for j in range(8)}
+        assert plus_minus == "plus_minus_hits=" + ";".join(
+            f"({A},{m},{n})" for A, m, n in sorted(families)
+        )
+
+    def test_wide_minus_scan_is_prompt(self):
+        done = run_cli_process("nt", "scan", "--family", "minus", "--bounds", "200,16", timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "hits=" + ";".join(f"({2**j - 1},2,1)" for j in range(2, 8)) + "\n"
 
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
 from srknots.numtheory import (
-    _prime_support,
+    _same_support,
     admissible_pair,
     catalan_scan,
     factorize,
@@ -29,23 +30,27 @@ def naive_prime_set(n):
     return tuple(out)
 
 
+def support(n):
+    """P(n) by complete factorization: the oracle for `_same_support`."""
+    return frozenset(factorize(n))
+
+
 class TestFactorization:
-    # `_prime_support` is the P(x) that the minus, base and plus scans compare.
     def test_examples(self):
-        assert _prime_support(9) == (3,)
-        assert _prime_support(2**3 + 1) == _prime_support(2**1 + 1)
-        assert _prime_support(63) == (3, 7)
-        assert _prime_support(1) == ()
+        assert support(9) == {3}
+        assert support(2**3 + 1) == support(2**1 + 1)
+        assert sorted(factorize(63)) == [3, 7]
+        assert factorize(1) == {}
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            _prime_support(0)
+            factorize(0)
 
     def test_against_naive_trial_division(self):
         rng = random.Random(31)
         samples = list(range(1, 2000)) + [rng.randrange(1, 10**6) for _ in range(500)]
         for n in samples:
-            assert _prime_support(n) == naive_prime_set(n), n
+            assert tuple(sorted(factorize(n))) == naive_prime_set(n), n
 
     def test_reconstruction_from_multiplicities(self):
         rng = random.Random(17)
@@ -84,6 +89,97 @@ class TestFactorization:
         samples += [big[0] ** 2 * big[1], big[2] ** 3 * big[3] ** 2, 3**4 * big[4] ** 2 * big[5]]
         for n in samples:
             assert factorize(n) == sympy.factorint(n), n
+
+
+class TestSameSupport:
+    def test_matches_factorization_on_every_small_pair(self):
+        supports = {n: support(n) for n in range(1, 301)}
+        for x in range(1, 301):
+            for y in range(1, 301):
+                assert _same_support(x, y) == (supports[x] == supports[y]), (x, y)
+
+    def test_shared_primes_with_different_exponents(self):
+        # Both sides are built from one prime pool with independent
+        # exponents (0 leaves a prime out), so supports often agree while
+        # the values differ.  The supports are known by construction, and
+        # sympy's factorint checks them independently.
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(4242)
+        pool = [2, 3, 5, 7, 11, 13, 101, 9973, 10007, 65537, 1_000_003, 2**31 - 1]
+        agree = 0
+        for _ in range(300):
+            x_exps, y_exps = {}, {}
+            for p in rng.sample(pool, rng.randint(1, 4)):
+                a, b = rng.choice([(0, 1), (1, 0), *[(1, 1)] * 6])
+                x_exps[p], y_exps[p] = a * rng.randint(1, 40), b * rng.randint(1, 40)
+            x = math.prod(p**e for p, e in x_exps.items())
+            y = math.prod(p**e for p, e in y_exps.items())
+            x_primes = {p for p, e in x_exps.items() if e}
+            y_primes = {p for p, e in y_exps.items() if e}
+            assert set(sympy.factorint(x)) == x_primes and set(sympy.factorint(y)) == y_primes
+            same = _same_support(x, y)
+            assert same == (x_primes == y_primes) == _same_support(y, x), (x, y)
+            agree += same
+        assert 100 < agree < 250
+
+    def test_high_prime_power(self):
+        for p in (2, 3, 65537):
+            for a in (1, 2, 63, 64, 200):
+                assert _same_support(p**a, p)
+                assert _same_support(p, p**a)
+                assert not _same_support(p**a, p * 7)
+
+
+def reference_scan_minus(A_max, m_max):
+    """The factorization-based minus scan the divisibility test replaced."""
+    hits = []
+    for A in range(2, A_max + 1):
+        supports = {e: support(A**e - 1) for e in range(1, m_max + 1)}
+        for m in range(2, m_max + 1):
+            for n in range(1, m):
+                if supports[m] == supports[n]:
+                    hits.append((A, m, n))
+    return hits
+
+
+def reference_scan_base(A_max, exp_max):
+    odd_hits = []
+    even_hits = []
+    for A in range(2, A_max + 1):
+        base = support(A + 1)
+        for p in range(3, exp_max + 1, 2):
+            if support(A**p + 1) == base:
+                odd_hits.append((A, p))
+        for q in range(2, exp_max + 1, 2):
+            if support(A**q - 1) == base:
+                even_hits.append((A, q))
+    return odd_hits, even_hits
+
+
+def reference_scan_plus(A_max, m_max):
+    plus_plus = []
+    plus_minus = []
+    for A in range(2, A_max + 1):
+        plus = {e: support(A**e + 1) for e in range(1, m_max + 1)}
+        minus = {e: support(A**e - 1) for e in range(1, m_max + 1)}
+        for m in range(1, m_max + 1):
+            for n in range(1, m_max + 1):
+                if n < m and plus[m] == plus[n]:
+                    plus_plus.append((A, m, n))
+                if plus[m] == minus[n]:
+                    plus_minus.append((A, m, n))
+    return plus_plus, plus_minus
+
+
+class TestScansMatchFactorization:
+    @pytest.mark.parametrize("bounds", [(50, 12), (40, 8), (60, 11)])
+    def test_minus_and_base(self, bounds):
+        assert scan_minus_match(*bounds) == reference_scan_minus(*bounds)
+        assert scan_base_match(*bounds) == reference_scan_base(*bounds)
+
+    @pytest.mark.parametrize("bounds", [(50, 12), (40, 8), (60, 11), (100, 12)])
+    def test_plus(self, bounds):
+        assert scan_plus_match(*bounds) == reference_scan_plus(*bounds)
 
 
 class TestCatalanScan:

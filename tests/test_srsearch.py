@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import srknots
-from srknots import numtheory, srsearch
+from srknots import srsearch
 from srknots.laurent import LaurentPoly, divide_exact, eval_int, normalize, parse
 from srknots.srpoly import SRDecomposition, SRParams, F_factor, f_factor, factor_span, product_formula
 from srknots.srsearch import (
@@ -304,7 +304,6 @@ class TestCertificateCheck:
 
 def test_caches_are_bounded():
     assert srsearch._layer.cache_info().maxsize == srsearch.MAX_SEARCH_SPAN // 2
-    assert numtheory._prime_support.cache_info().maxsize is not None
     cached = srsearch._layer.cache_info().currsize
     with pytest.raises(ValueError):
         srsearch._candidates(srsearch.MAX_SEARCH_SPAN + 2)
