@@ -35,6 +35,7 @@ from .seifert import (
     SeifertMatrix,
     alexander_from_fusion,
     alexander_from_seifert,
+    block_dets,
     build_blocks,
     closed_form_dets,
     det_P_minus_tQT,

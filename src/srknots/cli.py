@@ -28,9 +28,8 @@ from .seifert import (
     FusionSigns,
     SeifertMatrix,
     alexander_from_seifert,
+    block_dets,
     closed_form_dets,
-    det_P_minus_tQT,
-    det_Q_minus_tPT,
     parse_matrix,
     symbolic_det,
 )
@@ -212,8 +211,7 @@ def _cmd_seifert(args) -> int:
         print(alexander_from_seifert(SeifertMatrix(tuple(entries))))
         return 0
     signs = FusionSigns(_parse_eps(args.eps, args.m), args.l)
-    det_p = det_P_minus_tQT(signs)
-    det_q = det_Q_minus_tPT(signs)
+    det_p, det_q = block_dets(signs)
     closed_p, closed_q = closed_form_dets(signs)
     print(f"det_P={det_p}")
     print(f"det_Q={det_q}")

@@ -127,18 +127,38 @@ def factorize(n: int) -> dict[int, int]:
             n //= p
     if n == 1:
         return out
-    stack = [n]
+    # (value, multiplicity) pairs; a perfect power r^k goes back as r with k
+    # times the multiplicity, since rho needs about sqrt(r) steps to split it.
+    stack = [(n, 1)]
     while stack:
-        m = stack.pop()
+        m, mult = stack.pop()
         if m == 1:
             continue
         if is_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + mult
+            continue
+        root, k = _perfect_power(m)
+        if k > 1:
+            stack.append((root, mult * k))
             continue
         d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        stack.append((d, mult))
+        stack.append((m // d, mult))
     return out
+
+
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(r, k) with r^k = n for a prime k, or (n, 1) when there is none.
+
+    For n with no prime factor below _TRIAL_LIMIT, as `factorize` passes
+    it: then r > 2^13, so only primes k <= n.bit_length() / 13 can occur.
+    """
+    for k in range(2, n.bit_length() // 13 + 1):
+        if is_prime(k):
+            r = math.isqrt(n) if k == 2 else _iroot(n, k)
+            if r**k == n:
+                return r, k
+    return n, 1
 
 
 def _same_support(x: int, y: int) -> bool:

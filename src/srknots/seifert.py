@@ -31,6 +31,18 @@ Determinants take one of two routes, by class of input:
 * general Laurent matrices (`seifert det --matrix`), whose entries may be
   sparse with huge span, go through `symbolic_det`: sparse Laurent Bareiss
   that never builds a dense or 2^K-packed entry.
+
+The two eliminations stay separate loops because they need opposite pivot
+rules (timings on a 2-core x86_64 VM, Python 3.11).  Sparse Laurent
+entries need the lowest-span pivot: with the first nonzero one, a 6x6
+matrix of span +-1000 took 3.6 s instead of 1.3 s.  Integer pencils need
+the first nonzero pivot: choosing the one with the fewest bits made the P
+side of m = 1, l = 120 take 9 s instead of 0.1 s.
+
+Each fusion runs one elimination (`block_dets`).  Transposing gives
+|Q - t P^T| = |Q^T - t P| = (-t)^n |P - t^-1 Q^T| with n = m + |l|, so
+|Q - t P^T| is |P - t Q^T| with coefficient e moved to n - e and multiplied
+by (-1)^n.  The closed and reduced forms stay independent checks of both.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ __all__ = [
     "symbolic_det",
     "det_P_minus_tQT",
     "det_Q_minus_tPT",
+    "block_dets",
     "closed_form_dets",
     "reduced_form_dets",
     "alexander_from_fusion",
@@ -278,10 +291,19 @@ def det_P_minus_tQT(signs: FusionSigns) -> LaurentPoly:
     return _pencil_det(blocks.P, blocks.Q)
 
 
+def block_dets(signs: FusionSigns) -> tuple[LaurentPoly, LaurentPoly]:
+    """(|P - t Q^T|, |Q - t P^T|) from one elimination.
+
+    |Q - t P^T| = (-t)^n |P - t^-1 Q^T| with n = m + |l|.
+    """
+    det_p = det_P_minus_tQT(signs)
+    n = signs.m + abs(signs.l)
+    return det_p, _sign(n) * det_p.substitute_inverse().shift(n)
+
+
 def det_Q_minus_tPT(signs: FusionSigns) -> LaurentPoly:
-    """|Q - t P^T| computed from the actual block matrices."""
-    blocks = build_blocks(signs)
-    return _pencil_det(blocks.Q, blocks.P)
+    """|Q - t P^T|, read off |P - t Q^T| by the transpose identity."""
+    return block_dets(signs)[1]
 
 
 # -- closed forms ------------------------------------------------------------
@@ -351,7 +373,8 @@ def reduced_form_dets(signs: FusionSigns) -> tuple[LaurentPoly, LaurentPoly]:
 
 def alexander_from_fusion(signs: FusionSigns) -> NormalForm:
     """Normalized |P - t Q^T| * |Q - t P^T|: one fusion of the trivial knot."""
-    return normalize(det_P_minus_tQT(signs) * det_Q_minus_tPT(signs))
+    det_p, det_q = block_dets(signs)
+    return normalize(det_p * det_q)
 
 
 # -- assembled Seifert matrices ----------------------------------------------

@@ -1,0 +1,100 @@
+"""Fuzz tests for the matrix and decomposition text grammars.
+
+Printed forms must parse back to the same value, and any text must either
+parse or raise ValueError (the parse errors subclass it), never another
+exception.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from srknots.laurent import LaurentPoly
+from srknots.seifert import parse_matrix
+from srknots.srpoly import SRDecomposition, SRParams, parse_decomposition
+
+coeffs = st.integers(min_value=-(2**80), max_value=2**80)
+exponents = st.integers(min_value=-(10**12), max_value=10**12)
+polys = st.dictionaries(exponents, coeffs, max_size=5).map(LaurentPoly)
+
+
+@st.composite
+def matrices(draw):
+    rows = draw(st.integers(min_value=1, max_value=5))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    return [[draw(polys) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def sr_params(draw):
+    m = draw(st.integers(min_value=1, max_value=60))
+    p = draw(st.integers(min_value=0, max_value=m))
+    return SRParams(m, draw(st.integers(min_value=-(10**9), max_value=10**9)), p)
+
+
+decompositions = st.lists(sr_params(), max_size=6).map(lambda fs: SRDecomposition(tuple(fs)))
+
+
+def token_soup(*tokens):
+    """Text glued from grammar tokens, so that draws get past the first few characters."""
+    return st.lists(st.sampled_from(tokens), max_size=16).map("".join)
+
+
+entry_text = st.one_of(
+    polys.map(str), polys.map(str), token_soup("1", "-3", "t", "t^-2", "2*t^5", "+", "-", "*", "^", " ", "x")
+)
+# Rows of mostly valid entries, of varying lengths.
+matrix_text = st.lists(
+    st.lists(entry_text, min_size=1, max_size=4).map(",".join), min_size=1, max_size=4
+).map(";".join)
+decomposition_text = token_soup(
+    "F(1,0,0)", "F(3,-2,1)", "F(2,5,3)", "F(0,1,0)", "F(", ",", ")", "-", "7", "*", "1", " ", "G"
+)
+
+
+def print_matrix(rows):
+    return "; ".join(", ".join(str(entry) for entry in row) for row in rows)
+
+
+def parses_or_value_error(parser, text):
+    try:
+        parser(text)
+    except ValueError:
+        pass
+
+
+class TestMatrixGrammar:
+    @given(matrices())
+    @settings(deadline=None)
+    def test_printed_matrix_round_trips(self, rows):
+        assert parse_matrix(print_matrix(rows)) == rows
+
+    @given(matrix_text)
+    @settings(deadline=None)
+    def test_near_grammar_text_parses_or_raises_value_error(self, text):
+        parses_or_value_error(parse_matrix, text)
+
+    @given(st.text(max_size=40))
+    @settings(deadline=None)
+    def test_any_text_parses_or_raises_value_error(self, text):
+        parses_or_value_error(parse_matrix, text)
+
+    def test_ragged_rows_raise_value_error(self):
+        with pytest.raises(ValueError, match="same length"):
+            parse_matrix("1, t; 1")
+
+
+class TestDecompositionGrammar:
+    @given(decompositions)
+    @settings(deadline=None)
+    def test_printed_decomposition_round_trips(self, decomposition):
+        assert parse_decomposition(str(decomposition)) == decomposition
+
+    @given(decomposition_text)
+    @settings(deadline=None)
+    def test_near_grammar_text_parses_or_raises_value_error(self, text):
+        parses_or_value_error(parse_decomposition, text)
+
+    @given(st.text(max_size=40))
+    @settings(deadline=None)
+    def test_any_text_parses_or_raises_value_error(self, text):
+        parses_or_value_error(parse_decomposition, text)

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+import signal
 
 import pytest
 
@@ -33,6 +35,22 @@ def naive_prime_set(n):
 def support(n):
     """P(n) by complete factorization: the oracle for `_same_support`."""
     return frozenset(factorize(n))
+
+
+@contextlib.contextmanager
+def time_bound(seconds):
+    """Raise TimeoutError in the block if it runs for more than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestFactorization:
@@ -89,6 +107,27 @@ class TestFactorization:
         samples += [big[0] ** 2 * big[1], big[2] ** 3 * big[3] ** 2, 3**4 * big[4] ** 2 * big[5]]
         for n in samples:
             assert factorize(n) == sympy.factorint(n), n
+
+    def test_powers_of_primes_above_trial_division(self):
+        # Pollard rho needs about sqrt(p) steps to split p^k, so these end
+        # promptly only when perfect powers are split off by integer roots.
+        sympy = pytest.importorskip("sympy")
+        m61, m89, m127 = 2**61 - 1, 2**89 - 1, 2**127 - 1
+        samples = [
+            m61**2,
+            m61**3 * 1_000_003**5,
+            m61**6 * 10007**4,
+            m89**7,
+            m89**6 * 65537**3,
+            m127**5 * 3**4,
+            (m61 * 1_000_003) ** 6,
+            10007**2 * 10009,
+            1_000_003**39 * 65537**31,
+        ]
+        for n in samples:
+            with time_bound(5):
+                got = factorize(n)
+            assert got == sympy.factorint(n), n
 
 
 class TestSameSupport:

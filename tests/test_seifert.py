@@ -1,11 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import comb
 import tracemalloc
 
 import pytest
 
+import srknots
 from srknots import seifert
+from srknots.cli import main
 from srknots.laurent import LaurentPoly, equal_up_to_unit, parse
 from srknots.seifert import (
     FusionSigns,
@@ -13,6 +18,7 @@ from srknots.seifert import (
     _pencil_det,
     alexander_from_fusion,
     alexander_from_seifert,
+    block_dets,
     build_blocks,
     closed_form_dets,
     det_P_minus_tQT,
@@ -235,9 +241,33 @@ class TestPencilDet:
         for signs in sign_grid(5, 4):
             blocks = build_blocks(signs)
             assert det_P_minus_tQT(signs) == symbolic_det(laurent_pencil(blocks.P, blocks.Q)), signs
-            assert det_Q_minus_tPT(signs) == symbolic_det(laurent_pencil(blocks.Q, blocks.P)), signs
+            det_q = det_Q_minus_tPT(signs)
+            assert det_q == symbolic_det(laurent_pencil(blocks.Q, blocks.P)), signs
+            assert det_q == _pencil_det(blocks.Q, blocks.P), signs
             count += 1
         assert count == 558
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_transpose_identity(self, n):
+        # |B - t A^T| = (-t)^n |A - t^-1 B^T|: the coefficients of |A - t B^T|
+        # reversed (e -> n - e) and multiplied by (-1)^n.
+        rng = random.Random(500 + n)
+        pencils = [(random_matrix(rng, n, n, -9, 9), random_matrix(rng, n, n, -9, 9))
+                   for _ in range(6)]
+        # Row i of A - t B^T is row i of A and column i of B.
+        A, B = pencils[0]
+        singular = []
+        if n >= 1:  # a zero row
+            singular.append(([[0] * n] + A[1:], [[0] + row[1:] for row in B]))
+        if n >= 2:
+            # The last row repeats the first.
+            singular.append((A[:-1] + [A[0]], [row[:-1] + [row[0]] for row in B]))
+        for A, B in pencils + singular:
+            forward = _pencil_det(A, B)
+            assert forward.is_zero == ((A, B) in singular)
+            assert all(0 <= e <= n for e in forward.terms)
+            reversed_ = LaurentPoly({n - e: (-1) ** n * c for e, c in forward.terms.items()})
+            assert _pencil_det(B, A) == reversed_
 
     def test_inexact_division_raises(self, monkeypatch):
         # Integer Bareiss divisions are exact, so fake a remainder to show
@@ -277,6 +307,47 @@ class TestBlockDeterminants:
                     for perm in set(itertools.permutations(base))
                 }
                 assert len(dets) == 1, (base, l)
+
+
+class TestOneEliminationPerFusion:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"build_blocks": 0, "_pencil_det": 0}
+        for name in counts:
+            inner = getattr(seifert, name)
+
+            def counted(*args, _name=name, _inner=inner):
+                counts[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(seifert, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("eps,l", [((1,), 3), ((1, -1, -1), -2), ((-1, -1), 0)])
+    def test_seifert_check(self, calls, capsys, eps, l):
+        text = ",".join("+1" if e == 1 else "-1" for e in eps)
+        assert main(["seifert", "check", f"--m={len(eps)}", f"--l={l}", f"--eps={text}"]) == 0
+        assert capsys.readouterr().out.endswith("agree=true\n")
+        assert calls == {"build_blocks": 1, "_pencil_det": 1}
+
+    @pytest.mark.parametrize("func", [alexander_from_fusion, det_Q_minus_tPT, block_dets])
+    def test_library_entry_points(self, calls, func):
+        func(FusionSigns((1, -1), 2))
+        assert calls == {"build_blocks": 1, "_pencil_det": 1}
+
+    def test_long_linking_check_is_fast_in_a_fresh_process(self):
+        # The Q side of l > 0 is the slow elimination; it is never run.
+        src = os.path.dirname(os.path.dirname(srknots.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        flags = ["-O"] * sys.flags.optimize
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", "from srknots.cli import run; run()",
+             "seifert", "check", "--m", "1", "--l", "200", "--eps", "+1"],
+            env=env, capture_output=True, text=True, timeout=5,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith("agree=true\n")
 
 
 class TestAlexanderFromFusion:

@@ -232,6 +232,21 @@ class TestCandidateTable:
             expected = tuple(c for c in reference if c.span <= max_span)
             assert srsearch._candidates(max_span) == expected, max_span
 
+    def test_layer_keys_match_brute_force(self):
+        # factor_span is at least 2 max(m - 1, |s|), so every key of span 2h
+        # has m <= h + 1 and |s| <= h; the loops run one past both bounds.
+        for h in range(1, srsearch.MAX_SEARCH_SPAN // 2 + 1):
+            expected = {
+                (m, s, par)
+                for m in range(1, h + 3)
+                for s in range(-h - 1, h + 2)
+                for par in (0, 1)
+                if factor_span(SRParams(m, s - par, par)) == 2 * h
+            }
+            keys = srsearch._layer_keys(h)
+            assert len(keys) == len(set(keys)), h
+            assert set(keys) == expected, h
+
     def test_span_64_counts(self):
         table = srsearch._candidates(64)
         assert len(table) == 1566
