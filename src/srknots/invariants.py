@@ -15,8 +15,36 @@ from .laurent import NormalForm, equal_up_to_unit, eval_int
 __all__ = ["delta2", "knot_det", "is_pm_power_product", "symmetry_check"]
 
 
+# Bits that dp(2) may hold before `delta2` forms it.  Deciding whether a
+# value of this many bits is a product of 2^s +- 1 takes up to about 1.9 s
+# (the slowest shape measured, (2^N - 1)(2^N + 1), read 1.3 s at 200,000
+# bits, 2.5 s at 300,000 and 4.7 s at 400,000 on a 2-core x86-64 VM under
+# Python 3.11), and the `1 - t^100000 + t^200000` probe needs 200,003.
+DELTA2_BITS = 250_000
+
+
+def _bits_at_two(dp: NormalForm) -> int:
+    """An upper bound on the bit length of |dp(2)|, from the terms alone.
+
+    |sum_e c_e 2^e| <= sum_e |c_e| 2^e < (number of terms) * 2^M, where
+    M is the largest e + bitlen(c_e).
+    """
+    terms = dp.poly.terms
+    top = max(e + abs(c).bit_length() for e, c in terms.items())
+    return top + (len(terms) - 1).bit_length()
+
+
 def delta2(dp: NormalForm) -> int:
-    """Largest odd factor of |dp(2)|, or 0 when dp(2) = 0.  Always 0 or odd."""
+    """Largest odd factor of |dp(2)|, or 0 when dp(2) = 0.  Always 0 or odd.
+
+    Raises ValueError before forming dp(2) when its bit-length bound is
+    above DELTA2_BITS.
+    """
+    bits = _bits_at_two(dp)
+    if bits > DELTA2_BITS:
+        raise ValueError(
+            f"dp(2) may hold {bits:,} bits, above the delta2 budget of {DELTA2_BITS:,} bits"
+        )
     v = abs(eval_int(dp.poly, 2))
     if v == 0:
         return 0

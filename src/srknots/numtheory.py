@@ -15,6 +15,13 @@ divides y, each prime power p^a in x has a < k, so it divides y^k; if x
 divides y^k, each prime of x divides y^k and hence y.  So two modular
 powers decide P(x) = P(y) exactly and deterministically.
 
+Before those powers, each scan computes one signature per value,
+gcd(v, 2 * 3 * 5 * ... * 47): the product of the primes below 50 that
+divide v.  Equal supports force equal signatures, so a pair whose
+signatures differ cannot match and is skipped; only pairs that agree on
+the small primes reach the modular powers.  Hits and their order are
+those of the powers alone.
+
 All scans run on exact big integers; they are verification harnesses over
 finite boxes, not proofs.
 """
@@ -52,6 +59,9 @@ def _small_primes() -> list[int]:
 
 
 _SMALL_PRIMES = _small_primes()
+# The product of the primes below 50: gcd(v, _PRIMORIAL) is the scans'
+# signature of v.
+_PRIMORIAL = math.prod(p for p in _SMALL_PRIMES if p < 50)
 
 
 def is_prime(n: int) -> bool:
@@ -213,14 +223,17 @@ def scan_minus_match(A_max: int, m_max: int) -> list[tuple[int, int, int]]:
 
     P(x) = P(y) is decided without factoring, as x | y^bitlen(x) and
     y | x^bitlen(y): exact, since no prime occurs in x more than
-    bitlen(x) times.  Every hit has m = 2, n = 1 and A of the form 2^j - 1.
+    bitlen(x) times.  Those powers run only on pairs whose signatures
+    gcd(v, product of the primes below 50) agree, which equal supports
+    force.  Every hit has m = 2, n = 1 and A of the form 2^j - 1.
     """
     hits = []
     for A in range(2, A_max + 1):
         values = {e: A**e - 1 for e in range(1, m_max + 1)}
+        sigs = {e: math.gcd(v, _PRIMORIAL) for e, v in values.items()}
         for m in range(2, m_max + 1):
             for n in range(1, m):
-                if _same_support(values[m], values[n]):
+                if sigs[m] == sigs[n] and _same_support(values[m], values[n]):
                     hits.append((A, m, n))
     return hits
 
@@ -233,18 +246,23 @@ def scan_base_match(
 
     P(x) = P(y) is decided without factoring, as x | y^bitlen(x) and
     y | x^bitlen(y): exact, since no prime occurs in x more than
-    bitlen(x) times.  The first list is exactly {(2, 3)}; the second holds
+    bitlen(x) times.  Those powers run only on pairs whose signatures
+    gcd(v, product of the primes below 50) agree, which equal supports
+    force.  The first list is exactly {(2, 3)}; the second holds
     (A, 2) for A = 2^j + 1 only.
     """
     odd_hits = []
     even_hits = []
     for A in range(2, A_max + 1):
         base = A + 1
+        sig = math.gcd(base, _PRIMORIAL)
         for p in range(3, exp_max + 1, 2):
-            if _same_support(A**p + 1, base):
+            v = A**p + 1
+            if math.gcd(v, _PRIMORIAL) == sig and _same_support(v, base):
                 odd_hits.append((A, p))
         for q in range(2, exp_max + 1, 2):
-            if _same_support(A**q - 1, base):
+            v = A**q - 1
+            if math.gcd(v, _PRIMORIAL) == sig and _same_support(v, base):
                 even_hits.append((A, q))
     return odd_hits, even_hits
 
@@ -257,7 +275,9 @@ def scan_plus_match(
 
     P(x) = P(y) is decided without factoring, as x | y^bitlen(x) and
     y | x^bitlen(y): exact, since no prime occurs in x more than
-    bitlen(x) times.  The first list is exactly {(2, 3, 1)}.  The second
+    bitlen(x) times.  Those powers run only on pairs whose signatures
+    gcd(v, product of the primes below 50) agree, which equal supports
+    force.  The first list is exactly {(2, 3, 1)}.  The second
     consists of the families (3, 1, 1), (2, 3, 2), (3, 2, 4) and
     (2^j + 1, 1, 2).
     """
@@ -266,11 +286,14 @@ def scan_plus_match(
     for A in range(2, A_max + 1):
         plus = {e: A**e + 1 for e in range(1, m_max + 1)}
         minus = {e: A**e - 1 for e in range(1, m_max + 1)}
+        plus_sig = {e: math.gcd(v, _PRIMORIAL) for e, v in plus.items()}
+        minus_sig = {e: math.gcd(v, _PRIMORIAL) for e, v in minus.items()}
         for m in range(1, m_max + 1):
+            sig = plus_sig[m]
             for n in range(1, m_max + 1):
-                if n < m and _same_support(plus[m], plus[n]):
+                if n < m and plus_sig[n] == sig and _same_support(plus[m], plus[n]):
                     plus_plus.append((A, m, n))
-                if _same_support(plus[m], minus[n]):
+                if minus_sig[n] == sig and _same_support(plus[m], minus[n]):
                     plus_minus.append((A, m, n))
     return plus_plus, plus_minus
 

@@ -19,15 +19,18 @@ a_i, b_i the same expressions in the band signs:
 Both determinants admit two-term closed forms (`closed_form_dets`) built from
 c = a - t b, d = b - t a, e_i = eps_i (1 - t), and fully reduced bracket
 forms (`reduced_form_dets`) that depend on the signs only through the count
-of positive bands.
+of positive bands.  The closed forms are evaluated at t = 2^K as integer
+products, with K above the bit length of their coefficient bound 1 + 2^m,
+and decoded by the same balanced-digit reader as the pencils.
 
 Determinants take one of two routes, by class of input:
 
 * integer pencils A - t B^T (the fusion blocks, and |M - t M^T| of an
   assembled Seifert matrix) go through `_pencil_det`: one integer Bareiss
-  elimination at t = 2^K, with K above the bit length of the coefficient
-  bound prod_i sum_j (|A_ij| + |B_ji|), and the coefficients read off as
-  balanced base-2^K digits (Kronecker substitution);
+  elimination at t = 2^K, with K above the bit length of the Hadamard
+  bound sqrt(prod_i sum_j (|A_ij| + |B_ji|)^2) on the coefficients, and
+  the coefficients read off as balanced base-2^K digits (Kronecker
+  substitution, `_from_digits`);
 * general Laurent matrices (`seifert det --matrix`), whose entries may be
   sparse with huge span, go through `symbolic_det`: sparse Laurent Bareiss
   that never builds a dense or 2^K-packed entry.
@@ -48,9 +51,10 @@ by (-1)^n.  The closed and reduced forms stay independent checks of both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence, Tuple, Union
 
-from .laurent import LaurentPoly, NormalForm, divide_exact, normalize, parse
+from .laurent import LaurentPoly, NormalForm, divide_exact, eval_int, normalize, parse
 from .srpoly import SRParams, _one_minus_t_power, _sign
 
 __all__ = [
@@ -229,26 +233,54 @@ def symbolic_det(matrix: Sequence[Sequence[Union[int, LaurentPoly]]]) -> Laurent
     return _bareiss_det(rows)
 
 
+def _from_digits(value: int, K: int, degree: int) -> LaurentPoly:
+    """The polynomial sum_{e=0}^{degree} c_e t^e whose value at t = 2^K is `value`.
+
+    The caller guarantees every c_e lies in [-2^(K-1), 2^(K-1)).  Balanced
+    base-2^K digits, each in that range, are unique, so they are the c_e.
+    A nonzero remainder past the top digit means the guarantee failed, and
+    raises ArithmeticError.
+    """
+    coeffs = {}
+    mask, half = (1 << K) - 1, 1 << (K - 1)
+    for e in range(degree + 1):
+        digit = value & mask
+        value >>= K
+        if digit >= half:
+            digit -= 1 << K
+            value += 1
+        coeffs[e] = digit
+    if value:
+        raise ArithmeticError("determinant exceeds its coefficient bound")
+    return LaurentPoly(coeffs)
+
+
 def _pencil_det(A: IntMatrix, B: IntMatrix) -> LaurentPoly:
     """|A - t B^T| for square integer matrices A and B of the same size.
 
     This is the route for integer pencils (fusion blocks and assembled
-    Seifert matrices), whose determinant has degree at most n.  Expanding
-    the determinant over permutations bounds the L1 norm of its
-    coefficients by Bnd = prod_i sum_j (|A_ij| + |B_ji|), the product of
-    the pencil's row L1 norms.  With K = Bnd.bit_length() + 2 and x = 2^K,
-    every coefficient c_k satisfies |c_k| <= Bnd < x/4, so the integer
-    det(A - x B^T) = sum_k c_k x^k has exactly one expansion in balanced
-    base-x digits (each in [-x/2, x/2)), and those digits are the c_k.
-    The integer determinant comes from one fraction-free (Bareiss)
-    elimination over Z; a column with no nonzero pivot (as a zero row
-    leaves) gives 0.
+    Seifert matrices), whose determinant p(t) = sum_k c_k t^k has degree at
+    most n.  The coefficients are bounded by a Hadamard bound:
+
+    * by Cauchy's estimate, c_k is the mean of p(t) t^-k over the unit
+      circle, so |c_k| <= max over |t| = 1 of |p(t)|;
+    * for |t| = 1, entry (i, j) of A - t B^T has modulus at most
+      |A_ij| + |B_ji|, and Hadamard's inequality bounds |det| by the
+      product of the row 2-norms, sqrt(prod_i sum_j (|A_ij| + |B_ji|)^2).
+
+    So Bnd = isqrt(prod_i sum_j (|A_ij| + |B_ji|)^2) + 1 exceeds every
+    |c_k|.  (A Sylvester-Hadamard matrix H with B = 0 meets it: |det H| =
+    n^(n/2).)  With K = Bnd.bit_length() + 2 and x = 2^K, |c_k| < x/4, so
+    `_from_digits` reads the c_k off the integer det(A - x B^T) =
+    sum_k c_k x^k (Kronecker substitution).  The integer determinant comes
+    from one fraction-free (Bareiss) elimination over Z; a column with no
+    nonzero pivot (as a zero row leaves) gives 0.
     """
     n = len(A)
-    bound = 1
+    square_norms = 1
     for i in range(n):
-        bound *= sum(abs(A[i][j]) + abs(B[j][i]) for j in range(n))
-    K = bound.bit_length() + 2
+        square_norms *= sum((abs(A[i][j]) + abs(B[j][i])) ** 2 for j in range(n))
+    K = (isqrt(square_norms) + 1).bit_length() + 2
     M = [[A[i][j] - (B[j][i] << K) for j in range(n)] for i in range(n)]
     sign = 1
     prev = 1
@@ -270,19 +302,7 @@ def _pencil_det(A: IntMatrix, B: IntMatrix) -> LaurentPoly:
                     raise ArithmeticError("fraction-free elimination lost exactness")
                 row_i[j] = q
         prev = pivot
-    value = sign * prev
-    coeffs = {}
-    mask, half = (1 << K) - 1, 1 << (K - 1)
-    for e in range(n + 1):
-        digit = value & mask
-        value >>= K
-        if digit >= half:
-            digit -= 1 << K
-            value += 1
-        coeffs[e] = digit
-    if value:
-        raise ArithmeticError("pencil determinant exceeds its coefficient bound")
-    return LaurentPoly(coeffs)
+    return _from_digits(sign * prev, K, n)
 
 
 def det_P_minus_tQT(signs: FusionSigns) -> LaurentPoly:
@@ -326,22 +346,31 @@ def closed_form_dets(signs: FusionSigns) -> tuple[LaurentPoly, LaurentPoly]:
 
         |P - t Q^T| = c^|l| prod(-c_i) + (-1)^(|l|+m+1) d^|l| prod(e_i)
         |Q - t P^T| = d^|l| prod(-d_i) + (-1)^(|l|+m+1) c^|l| prod(e_i)
+
+    Both formulas are evaluated at t = 2^K as integer products and read by
+    `_from_digits`.  c and d are +-monomials and each e_i has L1 norm 2, so
+    the L1 norm of a product is at most the product of the L1 norms: each
+    first term is a +-monomial and each second term has L1 norm 2^m.  Every
+    coefficient is therefore at most 1 + 2^m in absolute value, and both
+    determinants have degree at most m + |l|.
     """
     k = abs(signs.l)
     m = signs.m
-    _, _, c, d, _ = value_row(signs.l_sign)
-    prod_c = LaurentPoly.one()
-    prod_d = LaurentPoly.one()
-    prod_e = LaurentPoly.one()
+    K = (1 + (1 << m)).bit_length() + 2
+    x = 1 << K
+    # (c, d, e) at x for each sign, computed once.
+    at_x = {s: [eval_int(v, x) for v in value_row(s)[2:]] for s in (1, -1)}
+    c, d, _ = at_x[signs.l_sign]
+    prod_c = prod_d = prod_e = 1
     for e in signs.eps:
-        _, _, ci, di, ei = value_row(e)
-        prod_c = prod_c * (-ci)
-        prod_d = prod_d * (-di)
-        prod_e = prod_e * ei
+        ci, di, ei = at_x[e]
+        prod_c *= -ci
+        prod_d *= -di
+        prod_e *= ei
     parity = _sign(k + m + 1)
     det_p = c**k * prod_c + parity * d**k * prod_e
     det_q = d**k * prod_d + parity * c**k * prod_e
-    return det_p, det_q
+    return _from_digits(det_p, K, m + k), _from_digits(det_q, K, m + k)
 
 
 def reduced_form_dets(signs: FusionSigns) -> tuple[LaurentPoly, LaurentPoly]:

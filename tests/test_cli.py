@@ -114,9 +114,19 @@ class TestPolyCommands:
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr
         # `poly eval` refuses that value by its power budget before it
-        # allocates; delta2 still forms 2^(10^11) and runs out of memory.
+        # allocates, and delta2 by its bit budget.  Blocks of size 10^8
+        # still run out of memory, which keeps the handler covered.
         done = run_cli_process(
             "knot", "invariants", "--poly", "t^100000000000 + t - 2",
+            timeout=60, preexec_fn=limit_memory,
+        )
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: dp(2) may hold 100,000,000,003 bits, "
+            "above the delta2 budget of 250,000 bits\n"
+        )
+        done = run_cli_process(
+            "seifert", "check", "--m", "1", "--l", "100000000", "--eps", "+1",
             timeout=60, preexec_fn=limit_memory,
         )
         assert (done.returncode, done.stderr) == (1, "error: out of memory\n")
@@ -165,6 +175,16 @@ class TestSrCommands:
         code, out, err = run(capsys, "sr", "classify", "--poly", wide)
         assert code == 1 and out == ""
         assert err.startswith("error:") and str(MAX_SEARCH_SPAN) in err
+
+    def test_classify_above_the_delta2_budget_exits_1_promptly(self):
+        # delta2 would have 4 million bits; the 2^s +- 1 test on it ran for
+        # over a minute before the bit budget.
+        done = run_cli_process("sr", "classify", "--poly", "2 - 5*t^2000000 + 2*t^4000000",
+                               timeout=10)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            "error: dp(2) may hold 4,000,004 bits, above the delta2 budget of 250,000 bits\n"
+        )
 
     def test_classify_wide_trinomial_is_prompt(self):
         # delta2 = 2^40000 - 2^20000 + 1 has 40,001 bits; a full remainder

@@ -1,14 +1,15 @@
-"""Fuzz tests for the matrix and decomposition text grammars.
+"""Fuzz tests for the matrix, decomposition and corpus row text grammars.
 
 Printed forms must parse back to the same value, and any text must either
 parse or raise ValueError (the parse errors subclass it), never another
-exception.
+exception.  A corpus row raises CorpusError, which names its line.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srknots.laurent import LaurentPoly
+from srknots.corpus import CorpusError, KnotRecord, _parse_record
+from srknots.laurent import LaurentPoly, normalize
 from srknots.seifert import parse_matrix
 from srknots.srpoly import SRDecomposition, SRParams, parse_decomposition
 
@@ -98,3 +99,81 @@ class TestDecompositionGrammar:
     @settings(deadline=None)
     def test_any_text_parses_or_raises_value_error(self, text):
         parses_or_value_error(parse_decomposition, text)
+
+
+names = st.text(
+    st.characters(blacklist_characters="|\n\r", blacklist_categories=("Cs",)), min_size=1, max_size=12
+)
+normal_forms = polys.filter(lambda p: not p.is_zero).map(normalize)
+
+
+@st.composite
+def knot_records(draw):
+    sr = draw(st.booleans())
+    return KnotRecord(
+        name=draw(names),
+        sr=sr,
+        delta2=draw(st.integers(min_value=0, max_value=2**100)),
+        det=draw(st.integers(min_value=1, max_value=2**100)),
+        delta_prime=draw(normal_forms),
+        factorization=draw(decompositions) if sr else None,
+    )
+
+
+def print_record(record):
+    return "|".join((
+        record.name,
+        "yes" if record.sr else "no",
+        str(record.delta2),
+        str(record.det),
+        str(record.delta_prime),
+        "" if record.factorization is None else str(record.factorization),
+    ))
+
+
+# Six fields, each valid or near it, and rows with other field counts.
+int_field = st.one_of(
+    st.integers(min_value=-5, max_value=2**70).map(str), st.sampled_from(["", "x", "1_000", " 7 ", "0x10"])
+)
+row_text = st.one_of(
+    st.tuples(
+        st.one_of(names, st.just("")),
+        st.sampled_from(["yes", "no", "", "YES", "x"]),
+        int_field,
+        int_field,
+        st.one_of(normal_forms.map(str), entry_text),
+        st.one_of(st.just(""), decompositions.map(str), decomposition_text),
+    ).map("|".join),
+    st.lists(st.one_of(names, entry_text, decomposition_text), max_size=8).map("|".join),
+)
+
+
+def parses_or_names_its_line(text, lineno):
+    try:
+        _parse_record(text, lineno)
+    except CorpusError as exc:
+        assert exc.lineno == lineno
+        assert str(exc).startswith(f"line {lineno}: ")
+
+
+class TestCorpusRowGrammar:
+    @given(knot_records(), st.integers(min_value=1, max_value=10**6))
+    @settings(deadline=None)
+    def test_printed_row_round_trips(self, record, lineno):
+        assert _parse_record(print_record(record), lineno) == record
+
+    @given(row_text, st.integers(min_value=1, max_value=10**6))
+    @settings(deadline=None)
+    def test_near_grammar_text_parses_or_names_its_line(self, text, lineno):
+        parses_or_names_its_line(text, lineno)
+
+    @given(st.text(max_size=60), st.integers(min_value=1, max_value=10**6))
+    @settings(deadline=None)
+    def test_any_text_parses_or_names_its_line(self, text, lineno):
+        parses_or_names_its_line(text, lineno)
+
+    def test_six_fields_with_bad_values_name_the_line(self):
+        for text in ("a|maybe|0|1|1|", "a|no|x|1|1|", "a|no|0|0|1|", "a|no|0|1|t - 1|",
+                     "a|yes|0|1|1|", "a|yes|0|1|1|G", "a|no|0|1|1|F(2,0,0)", "|no|0|1|1|"):
+            with pytest.raises(CorpusError, match="^line 17: "):
+                _parse_record(text, 17)

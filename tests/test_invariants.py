@@ -5,15 +5,18 @@ import time
 
 import pytest
 
+from srknots import invariants
 from srknots.invariants import (
+    DELTA2_BITS,
     _SIEVE_PRIMES,
+    _bits_at_two,
     _pm_divisors,
     delta2,
     is_pm_power_product,
     knot_det,
     symmetry_check,
 )
-from srknots.laurent import eval_int, normalize, parse
+from srknots.laurent import LaurentPoly, eval_int, normalize, parse
 from srknots.srpoly import SRParams, F_factor
 
 
@@ -53,9 +56,11 @@ class TestDelta2:
             assert knot_det(dp) == 25
 
     def test_huge_power_of_two_is_stripped_promptly(self):
-        # The value at 2 is 2^1000000: halving it one bit at a time is
-        # quadratic in the exponent and runs for minutes.
-        dp = NF("t^1000000 + t - 2")
+        # The value at 2 is 2^249996, the largest such power within the bit
+        # budget: halving it one bit at a time is quadratic in the exponent
+        # and takes about 16 s.
+        dp = NF("t^249996 + t - 2")
+        assert _bits_at_two(dp) <= DELTA2_BITS
         start = time.perf_counter()
         assert delta2(dp) == 1
         assert time.perf_counter() - start < 5.0
@@ -78,6 +83,39 @@ class TestDelta2:
             dp = NF(text)
             v = abs(eval_int(dp.poly, 2))
             assert delta2(dp) == (odd_part_by_division(v) if v else 0), text
+
+
+class TestDelta2Budget:
+    def test_bound_holds_on_seeded_polynomials(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            terms = {e: rng.choice((1, -1)) * rng.getrandbits(rng.randrange(1, 80))
+                     for e in rng.sample(range(200), rng.randrange(1, 12))}
+            terms[0] = rng.randrange(1, 1 << 40)
+            dp = normalize(LaurentPoly(terms))
+            assert _bits_at_two(dp) >= abs(eval_int(dp.poly, 2)).bit_length(), dp
+
+    def test_trinomial_probe_is_within_budget(self):
+        # 1 - 2^100000 + 2^200000 has 200,001 bits; the bound reads 200,003.
+        assert _bits_at_two(NF("1 - t^100000 + t^200000")) == 200_003 <= DELTA2_BITS
+
+    def test_refused_at_budget_plus_one_before_evaluating(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("dp(2) was formed")
+
+        monkeypatch.setattr(invariants, "eval_int", forbidden)
+        for text in ("t^100000000000 + t - 2", "2 - 5*t^2000000 + 2*t^4000000",
+                     f"1 - t^{DELTA2_BITS - 1}"):
+            with pytest.raises(ValueError, match="budget"):
+                delta2(NF(text))
+        assert _bits_at_two(NF(f"1 - t^{DELTA2_BITS - 1}")) == DELTA2_BITS + 1
+
+    def test_value_at_the_budget_is_answered(self):
+        # |1 - 2^(B-2)| has B - 2 bits; the bound, 1 + (B - 2) plus one bit
+        # for the two terms, reads B.
+        dp = NF(f"1 - t^{DELTA2_BITS - 2}")
+        assert _bits_at_two(dp) == DELTA2_BITS
+        assert delta2(dp) == (1 << (DELTA2_BITS - 2)) - 1
 
 
 class TestKnotDet:

@@ -5,7 +5,9 @@ import signal
 
 import pytest
 
+from srknots import numtheory
 from srknots.numtheory import (
+    _PRIMORIAL,
     _same_support,
     admissible_pair,
     catalan_scan,
@@ -219,6 +221,71 @@ class TestScansMatchFactorization:
     @pytest.mark.parametrize("bounds", [(50, 12), (40, 8), (60, 11), (100, 12)])
     def test_plus(self, bounds):
         assert scan_plus_match(*bounds) == reference_scan_plus(*bounds)
+
+
+def divisibility_scan_minus(A_max, m_max):
+    """The minus scan with two modular powers on every pair, no signature."""
+    hits = []
+    for A in range(2, A_max + 1):
+        values = {e: A**e - 1 for e in range(1, m_max + 1)}
+        for m in range(2, m_max + 1):
+            for n in range(1, m):
+                if _same_support(values[m], values[n]):
+                    hits.append((A, m, n))
+    return hits
+
+
+def divisibility_scan_base(A_max, exp_max):
+    odd_hits = []
+    even_hits = []
+    for A in range(2, A_max + 1):
+        base = A + 1
+        for p in range(3, exp_max + 1, 2):
+            if _same_support(A**p + 1, base):
+                odd_hits.append((A, p))
+        for q in range(2, exp_max + 1, 2):
+            if _same_support(A**q - 1, base):
+                even_hits.append((A, q))
+    return odd_hits, even_hits
+
+
+def divisibility_scan_plus(A_max, m_max):
+    plus_plus = []
+    plus_minus = []
+    for A in range(2, A_max + 1):
+        plus = {e: A**e + 1 for e in range(1, m_max + 1)}
+        minus = {e: A**e - 1 for e in range(1, m_max + 1)}
+        for m in range(1, m_max + 1):
+            for n in range(1, m_max + 1):
+                if n < m and _same_support(plus[m], plus[n]):
+                    plus_plus.append((A, m, n))
+                if _same_support(plus[m], minus[n]):
+                    plus_minus.append((A, m, n))
+    return plus_plus, plus_minus
+
+
+class TestSignaturePrefilter:
+    @pytest.mark.parametrize("bounds", [(50, 12), (60, 11), (100, 12), (40, 16)])
+    def test_scans_equal_the_unfiltered_ones(self, bounds):
+        assert scan_minus_match(*bounds) == divisibility_scan_minus(*bounds)
+        assert scan_base_match(*bounds) == divisibility_scan_base(*bounds)
+        assert scan_plus_match(*bounds) == divisibility_scan_plus(*bounds)
+
+    def test_equal_supports_have_equal_signatures(self):
+        for x in range(1, 2000):
+            for y in (x * x, x**3 * 7, 2 * x):
+                if _same_support(x, y):
+                    assert math.gcd(x, _PRIMORIAL) == math.gcd(y, _PRIMORIAL)
+        assert _PRIMORIAL == math.prod(p for p in range(2, 50) if is_prime(p))
+
+    def test_few_pairs_reach_the_modular_powers(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(numtheory, "_same_support",
+                            lambda x, y: calls.append((x, y)) or _same_support(x, y))
+        plus_plus, plus_minus = scan_plus_match(100, 12)
+        # 99 * (66 + 144) = 20,790 pairs in all.
+        assert len(plus_plus) + len(plus_minus) <= len(calls) < 20_790 // 4
+        assert all(math.gcd(x, _PRIMORIAL) == math.gcd(y, _PRIMORIAL) for x, y in calls)
 
 
 class TestCatalanScan:

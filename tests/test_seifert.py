@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from math import comb
+from math import comb, isqrt
 import tracemalloc
 
 import pytest
@@ -15,6 +15,7 @@ from srknots.laurent import LaurentPoly, equal_up_to_unit, parse
 from srknots.seifert import (
     FusionSigns,
     SeifertMatrix,
+    _from_digits,
     _pencil_det,
     alexander_from_fusion,
     alexander_from_seifert,
@@ -275,6 +276,83 @@ class TestPencilDet:
         monkeypatch.setattr(seifert, "divmod", lambda a, b: (a // b, 1), raising=False)
         with pytest.raises(ArithmeticError):
             det_P_minus_tQT(FusionSigns((1, -1), 2))
+
+
+def sylvester_hadamard(n):
+    """The Sylvester-Hadamard matrix of order n, a power of 2."""
+    H = [[1]]
+    while len(H) < n:
+        H = [row + row for row in H] + [row + [-x for x in row] for row in H]
+    return H
+
+
+class TestPencilBound:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+    def test_sylvester_hadamard_pencils(self, n):
+        # |det H| = n^(n/2) is the Hadamard bound itself, so (H, 0) meets
+        # the coefficient bound; (H, H) gives (1 - t)^n det H.
+        H = sylvester_hadamard(n)
+        zero = [[0] * n for _ in range(n)]
+        det_h = _pencil_det(H, zero)
+        assert abs(det_h.coeff(0)) == isqrt(n**n) and det_h.span == 0
+        assert det_h == sympy_pencil_det(H, zero)
+        assert _pencil_det(H, H) == sympy_pencil_det(H, H)
+        assert _pencil_det(H, H) == det_h * _one_minus_t_power(n)
+
+    def test_from_digits_refuses_a_leftover_digit(self):
+        assert _from_digits(-3 * 16**2 + 5 * 16 - 8, 4, 2) == LaurentPoly({0: -8, 1: 5, 2: -3})
+        with pytest.raises(ArithmeticError):
+            _from_digits(8 * 16**2, 4, 2)  # 8 is no balanced base-16 digit
+        with pytest.raises(ArithmeticError):
+            _from_digits(16**3, 4, 2)
+
+
+def laurent_closed_form_dets(signs):
+    """The closed forms multiplied out in LaurentPoly, as the paper writes them."""
+    k, m = abs(signs.l), signs.m
+    _, _, c, d, _ = value_row(signs.l_sign)
+    prod_c = prod_d = prod_e = LaurentPoly.one()
+    for e in signs.eps:
+        _, _, ci, di, ei = value_row(e)
+        prod_c = prod_c * (-ci)
+        prod_d = prod_d * (-di)
+        prod_e = prod_e * ei
+    parity = (-1) ** (k + m + 1)
+    return (c**k * prod_c + parity * d**k * prod_e,
+            d**k * prod_d + parity * c**k * prod_e)
+
+
+class TestClosedFormsAtPowerOfTwo:
+    def test_every_sign_pattern_up_to_m6_l12(self):
+        count = 0
+        for signs in sign_grid(6, 12):
+            assert closed_form_dets(signs) == laurent_closed_form_dets(signs), signs
+            count += 1
+        assert count == 126 * 25
+
+    def test_seeded_wide_patterns(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            m = rng.randint(1, 12)
+            signs = FusionSigns(tuple(rng.choice((1, -1)) for _ in range(m)),
+                                rng.randint(-60, 60))
+            assert closed_form_dets(signs) == laurent_closed_form_dets(signs), signs
+
+    def test_no_polynomial_products_and_one_decoder(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("LaurentPoly multiplication")
+
+        calls = []
+        monkeypatch.setattr(LaurentPoly, "__mul__", forbidden)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", forbidden)
+        monkeypatch.setattr(LaurentPoly, "__pow__", forbidden)
+        monkeypatch.setattr(seifert, "_from_digits",
+                            lambda *args, _inner=_from_digits: calls.append(args) or _inner(*args))
+        signs = FusionSigns((1, -1, -1), -5)
+        closed_form_dets(signs)
+        assert len(calls) == 2
+        det_P_minus_tQT(signs)
+        assert len(calls) == 3
 
 
 class TestBlockDeterminants:
