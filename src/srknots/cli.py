@@ -30,6 +30,7 @@ from .seifert import (
     alexander_from_seifert,
     block_dets,
     closed_form_dets,
+    parse_int_matrix,
     parse_matrix,
     symbolic_det,
 )
@@ -108,6 +109,39 @@ def build_parser() -> argparse.ArgumentParser:
     t_verify.add_argument("--corpus", default=None, help="path (default: bundled table)")
 
     return parser
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """The name -> parser map of `parser`'s subcommand action."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@functools.cache
+def _leaf_parsers() -> dict:
+    """{(group, verb): leaf parser}, taken from `build_parser()`'s subcommands."""
+    return {
+        (group, verb): leaf
+        for group, group_parser in _subcommands(build_parser()).items()
+        for verb, leaf in _subcommands(group_parser).items()
+    }
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, with the work of the root and group parsers skipped.
+
+    When argv starts with a group and a verb, the nested parse hands the
+    rest to that verb's own parser, so parse it there directly.  Anything
+    else, or arguments the leaf leaves unrecognized, takes the nested parse,
+    so help, usage and root-level errors stay the root parser's.
+    """
+    leaf = _leaf_parsers().get(tuple(argv[:2]))
+    if leaf is not None:
+        args, unrecognized = leaf.parse_known_args(argv[2:])
+        if not unrecognized:
+            args.group, args.verb = argv[0], argv[1]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _parse_eps(text: str, m: int) -> tuple[int, ...]:
@@ -199,16 +233,7 @@ def _cmd_seifert(args) -> int:
         print(symbolic_det(parse_matrix(args.matrix)))
         return 0
     if args.verb == "alexander":
-        rows = parse_matrix(args.matrix)
-        entries = []
-        for row in rows:
-            ints = []
-            for entry in row:
-                if not entry.is_zero and (entry.min_exp != 0 or entry.span != 0):
-                    raise ValueError("alexander expects an integer matrix")
-                ints.append(entry.coeff(0))
-            entries.append(tuple(ints))
-        print(alexander_from_seifert(SeifertMatrix(tuple(entries))))
+        print(alexander_from_seifert(SeifertMatrix(parse_int_matrix(args.matrix))))
         return 0
     signs = FusionSigns(_parse_eps(args.eps, args.m), args.l)
     det_p, det_q = block_dets(signs)
@@ -285,8 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     Python's int <-> str cap stays as the caller set it; `run` raises it.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     handlers = {
         "poly": _cmd_poly,
         "sr": _cmd_sr,

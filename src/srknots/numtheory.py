@@ -165,7 +165,7 @@ def _perfect_power(n: int) -> tuple[int, int]:
     """
     for k in range(2, n.bit_length() // 13 + 1):
         if is_prime(k):
-            r = math.isqrt(n) if k == 2 else _iroot(n, k)
+            r = _iroot(n, k)
             if r**k == n:
                 return r, k
     return n, 1
@@ -180,20 +180,26 @@ def _same_support(x: int, y: int) -> bool:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Largest r with r^k <= n (n >= 0, k >= 1), by exact binary search."""
+    """Largest r with r^k <= n (n >= 0, k >= 1), exactly.
+
+    k = 2 is `math.isqrt`.  Otherwise integer Newton steps
+    r <- ((k - 1) r + n // r^(k - 1)) // k run from r = 2^ceil(bits / k),
+    which is above the root.  By the AM-GM inequality a step never lands
+    below the root, and from above the root it strictly falls, so the
+    first step that does not fall leaves r at the root.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n in (0, 1) or k == 1:
         return n
-    lo = 1
-    hi = 1 << ((n.bit_length() + k - 1) // k + 1)
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if k == 2:
+        return math.isqrt(n)
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def catalan_scan(

@@ -42,19 +42,34 @@ matrix of span +-1000 took 3.6 s instead of 1.3 s.  Integer pencils need
 the first nonzero pivot: choosing the one with the fewest bits made the P
 side of m = 1, l = 120 take 9 s instead of 0.1 s.
 
-Each fusion runs one elimination (`block_dets`).  Transposing gives
-|Q - t P^T| = |Q^T - t P| = (-t)^n |P - t^-1 Q^T| with n = m + |l|, so
-|Q - t P^T| is |P - t Q^T| with coefficient e moved to n - e and multiplied
-by (-1)^n.  The closed and reduced forms stay independent checks of both.
+`_pencil_det` only updates the rows whose entry in the pivot column is
+nonzero.  A row it skips keeps its old values and the divisor of its last
+update; the Bareiss row is those values times the current divisor over
+that one, and the next update that touches the row divides by it.  The
+fusion pencils have two or three entries in most rows, so few rows are
+touched per step and the rest never grow.
+
+Each fusion runs one elimination (`block_dets`), on (P, Q) whatever the
+sign of l.  Transposing gives |Q - t P^T| = |Q^T - t P| =
+(-t)^n |P - t^-1 Q^T| with n = m + |l|, so |Q - t P^T| is |P - t Q^T|
+with coefficient e moved to n - e and multiplied by (-1)^n.  (P, Q) is the
+fast side for either sign: in P - t Q^T the linking part fills column
+m - 1, which touches many rows with a sparse pivot row, while in Q - t P^T
+it fills row m - 1, which fills every row it touches.  At n = 200, (P, Q)
+took 0.03 s for one band with l = +-200 and 0.4-0.7 s for 50 to 150 bands
+with the rest in l of either sign; (Q, P) took 0.02 s for l = -200, but
+4.1 s for l = 200 and 2.4-10.6 s for the mixed shapes.  The closed and
+reduced forms stay independent checks of both determinants.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence, Tuple, Union
 
-from .laurent import LaurentPoly, NormalForm, divide_exact, eval_int, normalize, parse
+from .laurent import LaurentPoly, NormalForm, divide_exact, normalize, parse
 from .srpoly import SRParams, _one_minus_t_power, _sign
 
 __all__ = [
@@ -64,6 +79,7 @@ __all__ = [
     "value_row",
     "build_blocks",
     "parse_matrix",
+    "parse_int_matrix",
     "symbolic_det",
     "det_P_minus_tQT",
     "det_Q_minus_tPT",
@@ -75,6 +91,19 @@ __all__ = [
 ]
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
+
+# Largest fusion block size n = m + |l| that `build_blocks` builds.  The
+# slowest shapes measured for one elimination mix bands and linking
+# (m = |l| = n/2, random signs): 0.7 s at n = 200, 1.9 s at n = 256, 4.5 s
+# at n = 300 and 19 s at n = 400, where one band with l = +-800 takes 2.6 s
+# (2-core x86-64 VM, Python 3.11).
+FUSION_SIZE = 256
+
+# Largest matrix `symbolic_det` and `alexander_from_seifert` take.  At this
+# size a dense matrix with entries in [-2, 2] takes 0.6 s for |M - t M^T| by
+# `_pencil_det` (2.8 s at 50, 14 s at 64), and the Laurent route takes
+# 2.8 s for its pencil M - t M^T (1.6 s at 32) on the same VM.
+MATRIX_SIZE = 40
 
 
 @dataclass(frozen=True)
@@ -118,10 +147,17 @@ class SeifertBlocks:
 
 
 def build_blocks(signs: FusionSigns) -> SeifertBlocks:
-    """Populate P and Q from the band signs and linking number."""
+    """Populate P and Q from the band signs and linking number.
+
+    Raises ValueError before allocating when m + |l| is above FUSION_SIZE.
+    """
     m, l, eps = signs.m, signs.l, signs.eps
     k = abs(l)
     size = m + k
+    if size > FUSION_SIZE:
+        raise ValueError(
+            f"fusion blocks of size {size:,} are above the budget of {FUSION_SIZE}"
+        )
     P = [[0] * size for _ in range(size)]
     Q = [[0] * size for _ in range(size)]
 
@@ -201,14 +237,40 @@ def parse_matrix(text: str) -> list[list[LaurentPoly]]:
     Entries use the polynomial grammar; integer matrices are the degenerate
     case.  Rows must all have the same length.
     """
-    rows = [
-        [parse(entry) for entry in row.split(",")]
-        for row in text.split(";")
-    ]
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
+    return _same_width([[parse(entry) for entry in row.split(",")] for row in text.split(";")])
+
+
+def _same_width(rows: list) -> list:
+    if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("matrix rows must all have the same length")
     return rows
+
+
+# Matrix text whose entries are all plain integers.
+_INT_MATRIX = re.compile(r"-?[0-9]+(?:[,;]-?[0-9]+)*")
+
+
+def parse_int_matrix(text: str) -> list[tuple[int, ...]]:
+    """Parse matrix text whose entries are integers, as `parse_matrix` would.
+
+    Plain integer text (`-?[0-9]+` joined by ',' and ';') is read straight
+    into int rows.  Any other text goes through `parse_matrix`, and each
+    entry must be a constant polynomial, so `3*t^0` and `1 - t + t` count
+    as integers.
+    """
+    if _INT_MATRIX.fullmatch(text):
+        return _same_width([tuple(map(int, row.split(","))) for row in text.split(";")])
+    rows = []
+    for row in parse_matrix(text):
+        if any(not entry.is_zero and (entry.min_exp != 0 or entry.span != 0) for entry in row):
+            raise ValueError("alexander expects an integer matrix")
+        rows.append(tuple(entry.coeff(0) for entry in row))
+    return rows
+
+
+def _check_matrix_size(n: int) -> None:
+    if n > MATRIX_SIZE:
+        raise ValueError(f"a {n}x{n} matrix is above the size budget of {MATRIX_SIZE}")
 
 
 def symbolic_det(matrix: Sequence[Sequence[Union[int, LaurentPoly]]]) -> LaurentPoly:
@@ -222,12 +284,14 @@ def symbolic_det(matrix: Sequence[Sequence[Union[int, LaurentPoly]]]) -> Laurent
     replaces an entry by (pivot * entry - head * pivot-row entry) divided
     exactly by the previous pivot, so no fractions arise and intermediate
     entries stay polynomials.  Pivots are the lowest-span nonzero entries of
-    their column, and a row swap flips the sign.
+    their column, and a row swap flips the sign.  A matrix above
+    MATRIX_SIZE raises ValueError before the elimination.
     """
     rows = [[_as_poly(x) for x in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
+    _check_matrix_size(n)
     if n == 0:
         return LaurentPoly.one()
     return _bareiss_det(rows)
@@ -274,7 +338,8 @@ def _pencil_det(A: IntMatrix, B: IntMatrix) -> LaurentPoly:
     `_from_digits` reads the c_k off the integer det(A - x B^T) =
     sum_k c_k x^k (Kronecker substitution).  The integer determinant comes
     from one fraction-free (Bareiss) elimination over Z; a column with no
-    nonzero pivot (as a zero row leaves) gives 0.
+    nonzero pivot (as a zero row leaves) gives 0.  A row whose entry in the
+    pivot column is zero is left as it is (see the module docstring).
     """
     n = len(A)
     square_norms = 1
@@ -282,6 +347,9 @@ def _pencil_det(A: IntMatrix, B: IntMatrix) -> LaurentPoly:
         square_norms *= sum((abs(A[i][j]) + abs(B[j][i])) ** 2 for j in range(n))
     K = (isqrt(square_norms) + 1).bit_length() + 2
     M = [[A[i][j] - (B[j][i] << K) for j in range(n)] for i in range(n)]
+    # Row i is stored as of its last update, whose divisor was last[i]; the
+    # current Bareiss row is the stored one times prev / last[i].
+    last = [1] * n
     sign = 1
     prev = 1
     for k in range(n):
@@ -290,39 +358,55 @@ def _pencil_det(A: IntMatrix, B: IntMatrix) -> LaurentPoly:
             return LaurentPoly.zero()
         if pivot_row != k:
             M[k], M[pivot_row] = M[pivot_row], M[k]
+            last[k], last[pivot_row] = last[pivot_row], last[k]
             sign = -sign
         row_k = M[k]
+        if last[k] != prev:
+            for j in range(k, n):
+                q, r = divmod(row_k[j] * prev, last[k])
+                if r:
+                    raise ArithmeticError("fraction-free elimination lost exactness")
+                row_k[j] = q
         pivot = row_k[k]
         for i in range(k + 1, n):
             row_i = M[i]
             head = row_i[k]
+            if not head:
+                continue
+            divisor = last[i]
             for j in range(k + 1, n):
-                q, r = divmod(pivot * row_i[j] - head * row_k[j], prev)
+                q, r = divmod(pivot * row_i[j] - head * row_k[j], divisor)
                 if r:
                     raise ArithmeticError("fraction-free elimination lost exactness")
                 row_i[j] = q
+            last[i] = pivot
         prev = pivot
     return _from_digits(sign * prev, K, n)
 
 
-def det_P_minus_tQT(signs: FusionSigns) -> LaurentPoly:
-    """|P - t Q^T| computed from the actual block matrices."""
-    blocks = build_blocks(signs)
-    return _pencil_det(blocks.P, blocks.Q)
+def _transposed(det: LaurentPoly, n: int) -> LaurentPoly:
+    """|B - t A^T| from det = |A - t B^T| of size n: (-t)^n det(1/t)."""
+    sign = _sign(n)
+    return LaurentPoly({n - e: sign * c for e, c in det.terms.items()})
 
 
 def block_dets(signs: FusionSigns) -> tuple[LaurentPoly, LaurentPoly]:
-    """(|P - t Q^T|, |Q - t P^T|) from one elimination.
+    """(|P - t Q^T|, |Q - t P^T|) from one elimination, on (P, Q).
 
-    |Q - t P^T| = (-t)^n |P - t^-1 Q^T| with n = m + |l|.
+    |Q - t P^T| is |P - t Q^T| read through `_transposed`.
     """
-    det_p = det_P_minus_tQT(signs)
-    n = signs.m + abs(signs.l)
-    return det_p, _sign(n) * det_p.substitute_inverse().shift(n)
+    blocks = build_blocks(signs)
+    det_p = _pencil_det(blocks.P, blocks.Q)
+    return det_p, _transposed(det_p, len(blocks.P))
+
+
+def det_P_minus_tQT(signs: FusionSigns) -> LaurentPoly:
+    """|P - t Q^T|, by `block_dets`."""
+    return block_dets(signs)[0]
 
 
 def det_Q_minus_tPT(signs: FusionSigns) -> LaurentPoly:
-    """|Q - t P^T|, read off |P - t Q^T| by the transpose identity."""
+    """|Q - t P^T|, by `block_dets`."""
     return block_dets(signs)[1]
 
 
@@ -358,8 +442,11 @@ def closed_form_dets(signs: FusionSigns) -> tuple[LaurentPoly, LaurentPoly]:
     m = signs.m
     K = (1 + (1 << m)).bit_length() + 2
     x = 1 << K
-    # (c, d, e) at x for each sign, computed once.
-    at_x = {s: [eval_int(v, x) for v in value_row(s)[2:]] for s in (1, -1)}
+    # (c, d, e) at x from a and b, as `value_row` defines them.
+    at_x = {}
+    for s in (1, -1):
+        a, b = (s + 1) // 2, (s - 1) // 2
+        at_x[s] = (a - x * b, b - x * a, s * (1 - x))
     c, d, _ = at_x[signs.l_sign]
     prod_c = prod_d = prod_e = 1
     for e in signs.eps:
@@ -464,5 +551,9 @@ class SeifertMatrix:
 
 
 def alexander_from_seifert(matrix: SeifertMatrix) -> NormalForm:
-    """Normalized |M - t M^T|; the empty matrix gives 1 by convention."""
+    """Normalized |M - t M^T|; the empty matrix gives 1 by convention.
+
+    A matrix above MATRIX_SIZE raises ValueError before the elimination.
+    """
+    _check_matrix_size(matrix.size)
     return normalize(_pencil_det(matrix.entries, matrix.entries))

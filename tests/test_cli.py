@@ -1,13 +1,16 @@
 import contextlib
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import srknots
+from srknots import cli
 from srknots.cli import main
 from srknots.laurent import LaurentPoly, normalize, parse
+from srknots.seifert import FUSION_SIZE, MATRIX_SIZE
 from srknots.srpoly import SRParams, f_factor
 from srknots.srsearch import MAX_SEARCH_SPAN
 
@@ -114,8 +117,9 @@ class TestPolyCommands:
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr
         # `poly eval` refuses that value by its power budget before it
-        # allocates, and delta2 by its bit budget.  Blocks of size 10^8
-        # still run out of memory, which keeps the handler covered.
+        # allocates, delta2 by its bit budget and `seifert check` by its
+        # block size budget.  The minus scan's values A^m - 1 for m up to
+        # 10^8 still run out of memory, which keeps the handler covered.
         done = run_cli_process(
             "knot", "invariants", "--poly", "t^100000000000 + t - 2",
             timeout=60, preexec_fn=limit_memory,
@@ -127,6 +131,13 @@ class TestPolyCommands:
         )
         done = run_cli_process(
             "seifert", "check", "--m", "1", "--l", "100000000", "--eps", "+1",
+            timeout=60, preexec_fn=limit_memory,
+        )
+        assert (done.returncode, done.stderr) == (
+            1, "error: fusion blocks of size 100,000,001 are above the budget of 256\n"
+        )
+        done = run_cli_process(
+            "nt", "scan", "--family", "minus", "--bounds", "2,100000000",
             timeout=60, preexec_fn=limit_memory,
         )
         assert (done.returncode, done.stderr) == (1, "error: out of memory\n")
@@ -235,6 +246,34 @@ class TestSeifertCommand:
     def test_ragged_matrix_exits_1(self, capsys):
         code, _, err = run(capsys, "seifert", "det", "--matrix", "1, 0; 1")
         assert code == 1 and "error:" in err
+
+    def test_alexander_accepts_constant_polynomial_entries(self, capsys):
+        code, out, _ = run(capsys, "seifert", "alexander", "--matrix", "-1*t^0, 1 - t + t; 0, -1")
+        assert code == 0 and out == "1 - t + t^2\n"
+
+    def test_check_size_budget(self, capsys):
+        code, out, _ = run(capsys, "seifert", "check", "--m", "1", "--l", f"{FUSION_SIZE - 1}", "--eps", "+1")
+        assert code == 0 and out.endswith("agree=true\n")
+        code, out, err = run(capsys, "seifert", "check", "--m", "2", "--l", f"-{FUSION_SIZE - 1}", "--eps", "+1,-1")
+        assert (code, out) == (1, "")
+        assert err == f"error: fusion blocks of size {FUSION_SIZE + 1} are above the budget of {FUSION_SIZE}\n"
+
+    @pytest.mark.parametrize("verb", ["det", "alexander"])
+    def test_matrix_size_budget(self, capsys, verb):
+        # A dense 100x100 matrix with entries in [-2, 2], about 25 KB of text.
+        rng = random.Random(100)
+        text = ";".join(",".join(str(rng.randint(-2, 2)) for _ in range(100)) for _ in range(100))
+        code, out, err = run(capsys, "seifert", verb, f"--matrix={text}")
+        assert (code, out) == (1, "")
+        assert err == f"error: a 100x100 matrix is above the size budget of {MATRIX_SIZE}\n"
+        # At the budget: MATRIX_SIZE / 2 trefoil blocks [[-1, 1], [0, -1]]
+        # down the diagonal, of determinant 1.
+        size = MATRIX_SIZE
+        cells = {(i, i): -1 for i in range(size)} | {(i, i + 1): 1 for i in range(0, size, 2)}
+        text = ";".join(",".join(str(cells.get((i, j), 0)) for j in range(size)) for i in range(size))
+        want = "1" if verb == "det" else str(normalize(parse("1 - t + t^2") ** (size // 2)))
+        code, out, _ = run(capsys, "seifert", verb, f"--matrix={text}")
+        assert (code, out) == (0, want + "\n")
 
 
 class TestNtCommands:
@@ -387,3 +426,75 @@ class TestDeterminism:
             assert (code, out) == (fresh.returncode, fresh.stdout), argv
             codes.append(code)
         assert codes == [0, 0, 0, 2, 0]
+
+
+# argv lists for the dispatch test: help at every level, option forms,
+# abbreviations, repeats, "--", and each kind of usage error.
+DISPATCH_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["seifert", "-h"],
+    ["poly", "-h", "eval"],
+    ["seifert", "check", "-h"],
+    ["nt", "scan", "--help"],
+    ["seifert", "check", "--m", "1", "--l", "0", "--eps", "+1", "-h"],
+    ["seifert", "check", "--m=1", "--l=2", "--eps=+1"],
+    ["seifert", "check", "--m", "2", "--l", "-1", "--eps", "+1,-1"],
+    ["seifert", "check", "--eps=-1,-1", "--l=-3", "--m=2"],
+    ["poly", "eval", "--po", "1 + t", "--at", "2"],
+    ["poly", "eval", "--poly=t", "--a=3"],
+    ["sr", "classify", "--p", "2 - 5*t + 2*t^2"],
+    ["poly", "eval", "--poly", "t", "--poly", "1 + t", "--at", "2"],
+    ["seifert", "check", "--m", "1", "--m", "2", "--l", "0", "--eps", "+1,+1"],
+    ["poly", "eval", "--poly", "t", "--at", "2", "--"],
+    ["poly", "eval", "--", "--poly", "t", "--at", "2"],
+    ["seifert", "check", "--m", "1", "--l", "0", "--eps", "+1", "--bogus"],
+    ["seifert", "check", "--bogus", "--m", "1"],
+    ["seifert", "check", "--m", "1", "--l", "0", "--eps", "+1", "extra"],
+    ["seifert", "check", "--m", "1", "--eps", "+1"],
+    ["seifert", "check", "--m", "x", "--l", "0", "--eps", "+1"],
+    ["seifert", "alexander", "--matrix", "-1,1;0,-1"],
+    ["seifert", "alexander", "--matrix=-1,1;0,-1"],
+    ["seifert", "det", "--matrix", "1 - t, 0; t, 1 - t"],
+    ["nt", "scan", "--family", "bogus", "--bounds", "1,2"],
+    ["nt", "scan", "--family=plus", "--bounds=20,4"],
+    ["nt", "pairs", "--m", "4", "--n", "2"],
+    ["table", "verify", "--corpus"],
+    ["sr", "factor", "--m", "2", "--l", "0", "--p", "0"],
+    ["sr", "factor", "--m", "2"],
+    ["frobnicate"],
+    ["seifert"],
+    ["seifert", "frobnicate"],
+    ["--threads", "4", "table", "verify"],
+]
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), usage exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
+    def test_same_as_the_nested_parse(self, capsys, monkeypatch, argv):
+        got = outcome(capsys, argv)
+        # The reference route: the root parser runs the group and leaf parsers.
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        assert got == outcome(capsys, argv)
+
+    def test_named_leaf_skips_the_root_parser(self, capsys, monkeypatch):
+        cli._leaf_parsers()
+
+        def forbidden():
+            raise AssertionError("nested parse")
+
+        monkeypatch.setattr(cli, "build_parser", forbidden)
+        assert run(capsys, "nt", "pairs", "--m", "4", "--n", "2")[:2] == (0, "admissible=true family=(2n,n)\n")
+        with pytest.raises(AssertionError, match="nested parse"):
+            main(["nt", "pairs", "--m", "4", "--n", "2", "extra"])

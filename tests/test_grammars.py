@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from srknots.corpus import CorpusError, KnotRecord, _parse_record
 from srknots.laurent import LaurentPoly, normalize
-from srknots.seifert import parse_matrix
+from srknots import seifert
+from srknots.seifert import parse_int_matrix, parse_matrix
 from srknots.srpoly import SRDecomposition, SRParams, parse_decomposition
 
 coeffs = st.integers(min_value=-(2**80), max_value=2**80)
@@ -82,6 +83,51 @@ class TestMatrixGrammar:
     def test_ragged_rows_raise_value_error(self):
         with pytest.raises(ValueError, match="same length"):
             parse_matrix("1, t; 1")
+
+
+def int_rows_by_grammar(text):
+    """Integer rows read through the polynomial grammar, the reference route."""
+    rows = parse_matrix(text)
+    for row in rows:
+        for entry in row:
+            if not entry.is_zero and (entry.min_exp != 0 or entry.span != 0):
+                raise ValueError("alexander expects an integer matrix")
+    return [tuple(entry.coeff(0) for entry in row) for row in rows]
+
+
+def result_or_message(parser, text):
+    try:
+        return parser(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+int_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-(2**70), 2**70), min_size=n, max_size=n), min_size=1, max_size=6)
+)
+
+
+class TestIntegerMatrixText:
+    @given(int_matrices)
+    @settings(deadline=None)
+    def test_plain_text_skips_the_grammar(self, rows):
+        text = ";".join(",".join(map(str, row)) for row in rows)
+        want = int_rows_by_grammar(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(seifert, "parse", None)
+            assert parse_int_matrix(text) == want == [tuple(row) for row in rows]
+
+    @given(st.one_of(matrix_text, token_soup("1", "-2", "007", "-0", ",", ";", " ", "t", "*", "^0", "+")))
+    @settings(deadline=None)
+    def test_any_text_reads_as_by_the_grammar(self, text):
+        assert result_or_message(parse_int_matrix, text) == result_or_message(int_rows_by_grammar, text)
+
+    @pytest.mark.parametrize("text", [
+        "3*t^0,1;0,1", " -2 ,1;0,1", "1 - t + t,0;0,1", "1,2;3", "1,2;3,4,5", "1,t;0,1",
+        "1;2", "-1,1;0,-1", "007,-0;1,1", "1,,2", "", ";", "1,2;", "+1,2;3,4",
+    ])
+    def test_examples(self, text):
+        assert result_or_message(parse_int_matrix, text) == result_or_message(int_rows_by_grammar, text)
 
 
 class TestDecompositionGrammar:

@@ -8,6 +8,7 @@ import pytest
 from srknots import numtheory
 from srknots.numtheory import (
     _PRIMORIAL,
+    _iroot,
     _same_support,
     admissible_pair,
     catalan_scan,
@@ -286,6 +287,49 @@ class TestSignaturePrefilter:
         # 99 * (66 + 144) = 20,790 pairs in all.
         assert len(plus_plus) + len(plus_minus) <= len(calls) < 20_790 // 4
         assert all(math.gcd(x, _PRIMORIAL) == math.gcd(y, _PRIMORIAL) for x, y in calls)
+
+
+def binary_search_iroot(n, k):
+    """Largest r with r^k <= n, by binary search (the former `_iroot`)."""
+    if n in (0, 1) or k == 1:
+        return n
+    lo = 1
+    hi = 1 << ((n.bit_length() + k - 1) // k + 1)
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestIntegerRoot:
+    def test_matches_binary_search_on_random_values(self):
+        rng = random.Random(14)
+        for _ in range(3000):
+            n = rng.getrandbits(rng.randint(1, 3000))
+            k = rng.randint(1, 40)
+            assert _iroot(n, k) == binary_search_iroot(n, k), (n, k)
+
+    def test_exact_powers_and_their_neighbours(self):
+        for r in range(300):
+            for k in range(1, 12):
+                for n in (r**k - 1, r**k, r**k + 1):
+                    if n >= 0:
+                        assert _iroot(n, k) == binary_search_iroot(n, k), (n, k)
+
+    def test_large_exact_powers(self):
+        rng = random.Random(15)
+        for _ in range(200):
+            r = rng.getrandbits(rng.randint(2, 400)) | 2
+            k = rng.randint(2, 30)
+            assert _iroot(r**k, k) == r
+            assert _iroot(r**k - 1, k) == r - 1
+
+    def test_negative_value_raises(self):
+        with pytest.raises(ValueError):
+            _iroot(-1, 3)
 
 
 class TestCatalanScan:

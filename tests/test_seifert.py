@@ -13,6 +13,8 @@ from srknots import seifert
 from srknots.cli import main
 from srknots.laurent import LaurentPoly, equal_up_to_unit, parse
 from srknots.seifert import (
+    FUSION_SIZE,
+    MATRIX_SIZE,
     FusionSigns,
     SeifertMatrix,
     _from_digits,
@@ -200,6 +202,23 @@ class TestPencilDet:
         assert _pencil_det(A, B) == sympy_pencil_det(A, B)
         assert _pencil_det(M, M) == sympy_pencil_det(M, M)
 
+    @pytest.mark.parametrize("n", [2, 5, 9, 16])
+    def test_sparse_pencils_leave_rows_behind(self, n):
+        # Most entries of A - t B^T are zero, so most rows have a zero in
+        # the pivot column, are skipped, and come back later stale.
+        rng = random.Random(700 + n)
+        for density in (0.15, 0.3):
+            for _ in range(6):
+                cells = [(i, j) for i in range(n) for j in range(n) if rng.random() < density]
+                A = [[0] * n for _ in range(n)]
+                BT = [[0] * n for _ in range(n)]
+                for i, j in cells:
+                    A[i][j] = rng.randint(-5, 5)
+                    BT[i][j] = rng.randint(-5, 5)
+                got = _pencil_det(A, transpose(BT))
+                assert got == sympy_pencil_det(A, transpose(BT))
+                assert got == symbolic_det(laurent_pencil(A, transpose(BT)))
+
     def test_singular_pencils(self):
         rng = random.Random(41)
         n = 6
@@ -269,6 +288,18 @@ class TestPencilDet:
             assert all(0 <= e <= n for e in forward.terms)
             reversed_ = LaurentPoly({n - e: (-1) ** n * c for e, c in forward.terms.items()})
             assert _pencil_det(B, A) == reversed_
+
+    def test_both_orientations_on_the_grid(self):
+        # block_dets eliminates (P, Q) only; (Q, P) is the oracle for the
+        # other side, and each side is the other one transposed.
+        count = 0
+        for signs in sign_grid(5, 12):
+            blocks = build_blocks(signs)
+            det_p, det_q = block_dets(signs)
+            assert det_p == _pencil_det(blocks.P, blocks.Q), signs
+            assert det_q == _pencil_det(blocks.Q, blocks.P), signs
+            count += 1
+        assert count == 62 * 25
 
     def test_inexact_division_raises(self, monkeypatch):
         # Integer Bareiss divisions are exact, so fake a remainder to show
@@ -415,17 +446,49 @@ class TestOneEliminationPerFusion:
 
     def test_long_linking_check_is_fast_in_a_fresh_process(self):
         # The Q side of l > 0 is the slow elimination; it is never run.
-        src = os.path.dirname(os.path.dirname(srknots.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        flags = ["-O"] * sys.flags.optimize
-        done = subprocess.run(
-            [sys.executable, *flags, "-c", "from srknots.cli import run; run()",
-             "seifert", "check", "--m", "1", "--l", "200", "--eps", "+1"],
-            env=env, capture_output=True, text=True, timeout=5,
-        )
+        done = check_in_fresh_process(200)
         assert done.returncode == 0, done.stderr
         assert done.stdout.endswith("agree=true\n")
+
+    def test_negative_linking_check_is_fast_in_a_fresh_process(self):
+        # With every row updated at every step, the P side took 55 s here.
+        done = check_in_fresh_process(-200)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith("agree=true\n")
+
+
+def check_in_fresh_process(l):
+    """`seifert check --m 1 --l <l> --eps +1` in a new interpreter, 5 s at most."""
+    src = os.path.dirname(os.path.dirname(srknots.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    flags = ["-O"] * sys.flags.optimize
+    return subprocess.run(
+        [sys.executable, *flags, "-c", "from srknots.cli import run; run()",
+         "seifert", "check", "--m", "1", "--l", str(l), "--eps", "+1"],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+
+
+class TestBudgets:
+    def test_fusion_size(self):
+        # At the budget both block shapes build, and one more is refused
+        # before anything is allocated.
+        assert len(build_blocks(FusionSigns((1,), FUSION_SIZE - 1)).P) == FUSION_SIZE
+        assert len(build_blocks(FusionSigns((-1,) * FUSION_SIZE, 0)).Q) == FUSION_SIZE
+        for signs in (FusionSigns((1,), -FUSION_SIZE), FusionSigns((1, -1), 10**12)):
+            with pytest.raises(ValueError, match=f"above the budget of {FUSION_SIZE}"):
+                block_dets(signs)
+
+    def test_matrix_size(self):
+        n = MATRIX_SIZE + 1
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        message = f"a {n}x{n} matrix is above the size budget of {MATRIX_SIZE}"
+        with pytest.raises(ValueError, match=message):
+            symbolic_det(eye)
+        with pytest.raises(ValueError, match=message):
+            alexander_from_seifert(SeifertMatrix(eye))
+        assert symbolic_det([row[1:] for row in eye[1:]]) == LaurentPoly.one()
 
 
 class TestAlexanderFromFusion:
