@@ -23,31 +23,34 @@ of positive bands.  The closed forms are evaluated at t = 2^K as integer
 products, with K above the bit length of their coefficient bound 1 + 2^m,
 and decoded by the same balanced-digit reader as the pencils.
 
-Determinants take one of two routes, by class of input:
+Every determinant comes from one fraction-free (Bareiss) elimination,
+`_bareiss`, on one of two entry encodings:
 
 * integer pencils A - t B^T (the fusion blocks, and |M - t M^T| of an
-  assembled Seifert matrix) go through `_pencil_det`: one integer Bareiss
-  elimination at t = 2^K, with K above the bit length of the Hadamard
-  bound sqrt(prod_i sum_j (|A_ij| + |B_ji|)^2) on the coefficients, and
-  the coefficients read off as balanced base-2^K digits (Kronecker
-  substitution, `_from_digits`);
+  assembled Seifert matrix) go through `_pencil_det`, which eliminates the
+  integers A - 2^K B^T, with K above the bit length of the Hadamard bound
+  sqrt(prod_i sum_j (|A_ij| + |B_ji|)^2) on the coefficients, and reads
+  the coefficients off the integer determinant as balanced base-2^K digits
+  (Kronecker substitution, `_from_digits`);
 * general Laurent matrices (`seifert det --matrix`), whose entries may be
-  sparse with huge span, go through `symbolic_det`: sparse Laurent Bareiss
-  that never builds a dense or 2^K-packed entry.
+  sparse with huge span, go through `symbolic_det`, which eliminates the
+  sparse entries as they are and never builds a dense or 2^K-packed one.
 
-The two eliminations stay separate loops because they need opposite pivot
-rules (timings on a 2-core x86_64 VM, Python 3.11).  Sparse Laurent
-entries need the lowest-span pivot: with the first nonzero one, a 6x6
-matrix of span +-1000 took 3.6 s instead of 1.3 s.  Integer pencils need
-the first nonzero pivot: choosing the one with the fewest bits made the P
-side of m = 1, l = 120 take 9 s instead of 0.1 s.
+The loop takes the ring's one, an exact division and a pivot key, and the
+two routes differ in the key (timings on a 2-core x86_64 VM, Python 3.11).
+Integer pencils take the first nonzero pivot: taking the entry with the
+fewest bits made the P side of m = 1, l = 120 take 4.7 s instead of
+0.005 s.  Laurent entries take the lowest-span pivot, which keeps the
+products with the pivot and the exact divisions by it narrow: on 12 sparse
+6x6 matrices with exponents in [-1000, 1000] it took 1.21 s in all against
+1.28 s for the first nonzero pivot, and was faster on 8 of them.
 
-`_pencil_det` only updates the rows whose entry in the pivot column is
-nonzero.  A row it skips keeps its old values and the divisor of its last
-update; the Bareiss row is those values times the current divisor over
-that one, and the next update that touches the row divides by it.  The
-fusion pencils have two or three entries in most rows, so few rows are
-touched per step and the rest never grow.
+The loop only updates the rows whose entry in the pivot column is nonzero.
+A row it skips keeps its old values and the divisor of its last update;
+the Bareiss row is those values times the current divisor over that one,
+and the next update that touches the row divides by it.  The fusion
+pencils have two or three entries in most rows, so few rows are touched
+per step and the rest never grow.
 
 Each fusion runs one elimination (`block_dets`), on (P, Q) whatever the
 sign of l.  Transposing gives |Q - t P^T| = |Q^T - t P| =
@@ -67,7 +70,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import isqrt
-from typing import Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .laurent import LaurentPoly, NormalForm, divide_exact, normalize, parse
 from .srpoly import SRParams, _one_minus_t_power, _sign
@@ -190,47 +193,6 @@ def build_blocks(signs: FusionSigns) -> SeifertBlocks:
 # -- symbolic determinants ---------------------------------------------------
 
 
-def _as_poly(x: Union[int, LaurentPoly]) -> LaurentPoly:
-    return LaurentPoly.constant(x) if isinstance(x, int) else x
-
-
-def _bareiss_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(rows)
-    M = [row[:] for row in rows]
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        # Lowest-span nonzero pivot limits intermediate growth.
-        pivot_row = -1
-        best = None
-        for i in range(k, n):
-            entry = M[i][k]
-            if not entry.is_zero and (best is None or entry.span < best):
-                best = entry.span
-                pivot_row = i
-        if pivot_row < 0:
-            return LaurentPoly.zero()
-        if pivot_row != k:
-            M[k], M[pivot_row] = M[pivot_row], M[k]
-            sign = -sign
-        pivot = M[k][k]
-        for i in range(k + 1, n):
-            row_i = M[i]
-            head = row_i[k]
-            row_k = M[k]
-            for j in range(k + 1, n):
-                if row_i[j].is_zero and (head.is_zero or row_k[j].is_zero):
-                    continue
-                num = pivot * row_i[j] - head * row_k[j]
-                q = divide_exact(num, prev)
-                if q is None:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                row_i[j] = q
-            row_i[k] = LaurentPoly.zero()
-        prev = pivot
-    return M[n - 1][n - 1] if sign == 1 else -M[n - 1][n - 1]
-
-
 def parse_matrix(text: str) -> list[list[LaurentPoly]]:
     """Parse the matrix text format: rows separated by ';', entries by ','.
 
@@ -273,28 +235,85 @@ def _check_matrix_size(n: int) -> None:
         raise ValueError(f"a {n}x{n} matrix is above the size budget of {MATRIX_SIZE}")
 
 
+def _exact_int(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("fraction-free elimination lost exactness")
+    return q
+
+
+def _exact_poly(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    q = divide_exact(a, b)
+    if q is None:
+        raise ArithmeticError("fraction-free elimination lost exactness")
+    return q
+
+
+def _bareiss(M: list[list], one, exact: Callable, pivot_key: Optional[Callable] = None):
+    """Determinant of the square matrix M, by fraction-free (Bareiss) elimination.
+
+    M holds rows of entries of an integral domain (ints, or LaurentPolys)
+    and is eliminated in place.  `one` is the ring's one, and `exact(a, b)`
+    returns a / b or raises ArithmeticError when b does not divide a.  Each
+    step replaces an entry by (pivot * entry - head * pivot-row entry)
+    divided exactly by the previous pivot, so no fractions arise.  The pivot
+    of a column is its first nonzero entry or, given `pivot_key`, its first
+    nonzero entry of least key; a row swap flips the sign.  A column with
+    no nonzero entry holds the ring's zero, which is the determinant.  Only
+    the rows with a nonzero entry in the pivot column are updated (see the
+    module docstring).
+    """
+    n = len(M)
+    # Row i is stored as of its last update, whose divisor was last[i]; the
+    # current Bareiss row is the stored one times prev / last[i].
+    last = [one] * n
+    sign = 1
+    prev = one
+    for k in range(n):
+        nonzero = (i for i in range(k, n) if M[i][k])
+        if pivot_key is None:
+            pivot_row = next(nonzero, -1)
+        else:
+            pivot_row = min(nonzero, key=lambda i: pivot_key(M[i][k]), default=-1)
+        if pivot_row < 0:
+            return M[k][k]
+        if pivot_row != k:
+            M[k], M[pivot_row] = M[pivot_row], M[k]
+            last[k], last[pivot_row] = last[pivot_row], last[k]
+            sign = -sign
+        row_k = M[k]
+        if last[k] != prev:
+            for j in range(k, n):
+                row_k[j] = exact(row_k[j] * prev, last[k])
+        pivot = row_k[k]
+        for i in range(k + 1, n):
+            row_i = M[i]
+            head = row_i[k]
+            if not head:
+                continue
+            divisor = last[i]
+            for j in range(k + 1, n):
+                row_i[j] = exact(pivot * row_i[j] - head * row_k[j], divisor)
+            last[i] = pivot
+        prev = pivot
+    return prev if sign == 1 else -prev
+
+
 def symbolic_det(matrix: Sequence[Sequence[Union[int, LaurentPoly]]]) -> LaurentPoly:
     """Exact determinant of a square matrix with Laurent polynomial entries.
 
     This is the route for general Laurent matrices such as parsed
-    `--matrix` text.  Their entries may be sparse with huge span, where
-    packing a polynomial into one integer at t = 2^K would build integers of
-    that many times K bits; integer pencils use `_pencil_det` instead.
-    Every size goes through fraction-free (Bareiss) elimination: each step
-    replaces an entry by (pivot * entry - head * pivot-row entry) divided
-    exactly by the previous pivot, so no fractions arise and intermediate
-    entries stay polynomials.  Pivots are the lowest-span nonzero entries of
-    their column, and a row swap flips the sign.  A matrix above
-    MATRIX_SIZE raises ValueError before the elimination.
+    `--matrix` text; integer entries are read as constants.  The entries go
+    into `_bareiss` as they are, sparse, with lowest-span pivots (see the
+    module docstring).  A matrix above MATRIX_SIZE raises ValueError before
+    the elimination.
     """
-    rows = [[_as_poly(x) for x in row] for row in matrix]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
     _check_matrix_size(n)
-    if n == 0:
-        return LaurentPoly.one()
-    return _bareiss_det(rows)
+    rows = [[LaurentPoly.constant(x) if isinstance(x, int) else x for x in row] for row in matrix]
+    return _bareiss(rows, LaurentPoly.one(), _exact_poly, lambda entry: entry.span)
 
 
 def _from_digits(value: int, K: int, degree: int) -> LaurentPoly:
@@ -336,10 +355,8 @@ def _pencil_det(A: IntMatrix, B: IntMatrix) -> LaurentPoly:
     |c_k|.  (A Sylvester-Hadamard matrix H with B = 0 meets it: |det H| =
     n^(n/2).)  With K = Bnd.bit_length() + 2 and x = 2^K, |c_k| < x/4, so
     `_from_digits` reads the c_k off the integer det(A - x B^T) =
-    sum_k c_k x^k (Kronecker substitution).  The integer determinant comes
-    from one fraction-free (Bareiss) elimination over Z; a column with no
-    nonzero pivot (as a zero row leaves) gives 0.  A row whose entry in the
-    pivot column is zero is left as it is (see the module docstring).
+    sum_k c_k x^k (Kronecker substitution).  That integer comes from
+    `_bareiss` over Z with first-nonzero pivots (see the module docstring).
     """
     n = len(A)
     square_norms = 1
@@ -347,41 +364,7 @@ def _pencil_det(A: IntMatrix, B: IntMatrix) -> LaurentPoly:
         square_norms *= sum((abs(A[i][j]) + abs(B[j][i])) ** 2 for j in range(n))
     K = (isqrt(square_norms) + 1).bit_length() + 2
     M = [[A[i][j] - (B[j][i] << K) for j in range(n)] for i in range(n)]
-    # Row i is stored as of its last update, whose divisor was last[i]; the
-    # current Bareiss row is the stored one times prev / last[i].
-    last = [1] * n
-    sign = 1
-    prev = 1
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if M[i][k]), -1)
-        if pivot_row < 0:
-            return LaurentPoly.zero()
-        if pivot_row != k:
-            M[k], M[pivot_row] = M[pivot_row], M[k]
-            last[k], last[pivot_row] = last[pivot_row], last[k]
-            sign = -sign
-        row_k = M[k]
-        if last[k] != prev:
-            for j in range(k, n):
-                q, r = divmod(row_k[j] * prev, last[k])
-                if r:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                row_k[j] = q
-        pivot = row_k[k]
-        for i in range(k + 1, n):
-            row_i = M[i]
-            head = row_i[k]
-            if not head:
-                continue
-            divisor = last[i]
-            for j in range(k + 1, n):
-                q, r = divmod(pivot * row_i[j] - head * row_k[j], divisor)
-                if r:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                row_i[j] = q
-            last[i] = pivot
-        prev = pivot
-    return _from_digits(sign * prev, K, n)
+    return _from_digits(_bareiss(M, 1, _exact_int), K, n)
 
 
 def _transposed(det: LaurentPoly, n: int) -> LaurentPoly:

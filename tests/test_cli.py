@@ -11,7 +11,7 @@ from srknots import cli
 from srknots.cli import main
 from srknots.laurent import LaurentPoly, normalize, parse
 from srknots.seifert import FUSION_SIZE, MATRIX_SIZE
-from srknots.srpoly import SRParams, f_factor
+from srknots.srpoly import MAX_BANDS, SRParams, f_factor
 from srknots.srsearch import MAX_SEARCH_SPAN
 
 
@@ -179,6 +179,15 @@ class TestSrCommands:
     def test_invalid_params_exit_1(self, capsys):
         code, _, err = run(capsys, "sr", "factor", "--m", "0", "--l", "0", "--p", "0")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sr", "factor", "--m", "100000000", "--l", "0", "--p", "0"),
+        ("sr", "product", "--factors", "F(100000000,0,0)"),
+    ])
+    def test_band_counts_above_the_budget_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: 100,000,000 bands are above the budget of {MAX_BANDS}\n"
 
     def test_classify_above_search_budget_exits_1(self, capsys):
         # (1 - t + t^2)^33 has span 66 and passes every cheaper obstruction.

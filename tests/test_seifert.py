@@ -161,6 +161,58 @@ class TestSymbolicDet:
         m = [row, row, [parse("1")] * 5, [parse("t")] * 5, [parse("t^2")] * 5]
         assert symbolic_det(m).is_zero
 
+    def test_skipped_rows_come_back_stale(self):
+        # Row 1 has no entry in column 0, so the first step skips it; in
+        # column 1 its monomial has the lowest span, so it is the next pivot
+        # row and must first be brought up to date by the non-unit pivot
+        # 2 - t^-3.  Row 3 is skipped twice and updated at the third step.
+        z = LaurentPoly.zero()
+        m = [
+            [parse("2 - t^-3"), parse("t^4 + 1"), parse("t^-2"), parse("3 - t")],
+            [z, parse("-5*t^-1"), parse("1 + t^2"), parse("t^-4 - 2")],
+            [parse("t^-1 + t^6 - 2"), parse("1 - t^9 + t^-2"), parse("7"), z],
+            [z, z, parse("t^-40 + t^40"), parse("2*t^3 - t^-1")],
+        ]
+        assert symbolic_det(m) == laplace_det(m)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_sparse_matrices_match_laplace_expansion(self, n):
+        # Mostly zero entries with negative exponents: most rows are skipped
+        # at most steps and come back stale, as pivot rows or as updated ones.
+        rng = random.Random(900 + n)
+        for density in (0.25, 0.4):
+            for _ in range(6):
+                m = [
+                    [
+                        LaurentPoly({rng.randint(-6, 6): rng.choice((-3, -2, -1, 1, 2, 3))
+                                     for _ in range(rng.randint(1, 3))})
+                        if rng.random() < density
+                        else LaurentPoly.zero()
+                        for _ in range(n)
+                    ]
+                    for _ in range(n)
+                ]
+                assert symbolic_det(m) == laplace_det(m)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # Laurent Bareiss divisions are exact, so fake a failed one to show
+        # the check fires, also under python -O.
+        monkeypatch.setattr(seifert, "divide_exact", lambda a, b: None)
+        with pytest.raises(ArithmeticError):
+            symbolic_det([[parse("1 + t"), parse("t")], [parse("2"), parse("t^-1")]])
+
+
+def laplace_det(rows):
+    """Cofactor expansion along the first row, skipping zero entries."""
+    if not rows:
+        return LaurentPoly.one()
+    total = LaurentPoly.zero()
+    for j, entry in enumerate(rows[0]):
+        if not entry.is_zero:
+            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+            total = total + (-1) ** j * entry * laplace_det(minor)
+    return total
+
 
 def transpose(rows):
     return [list(col) for col in zip(*rows)]
@@ -215,9 +267,11 @@ class TestPencilDet:
                 for i, j in cells:
                     A[i][j] = rng.randint(-5, 5)
                     BT[i][j] = rng.randint(-5, 5)
-                got = _pencil_det(A, transpose(BT))
-                assert got == sympy_pencil_det(A, transpose(BT))
-                assert got == symbolic_det(laurent_pencil(A, transpose(BT)))
+                # Both routes run one elimination loop, so each is checked
+                # against sympy on its own.
+                expected = sympy_pencil_det(A, transpose(BT))
+                assert _pencil_det(A, transpose(BT)) == expected
+                assert symbolic_det(laurent_pencil(A, transpose(BT))) == expected
 
     def test_singular_pencils(self):
         rng = random.Random(41)
@@ -243,9 +297,9 @@ class TestPencilDet:
             for i in range(n - 1):
                 BT[i][0] = 0  # ... and everywhere but in the last row.
             BT[n - 1][0] = rng.choice((-3, -1, 2, 5))
-            got = _pencil_det(A, transpose(BT))
-            assert got == sympy_pencil_det(A, transpose(BT))
-            assert got == symbolic_det(laurent_pencil(A, transpose(BT)))
+            expected = sympy_pencil_det(A, transpose(BT))
+            assert _pencil_det(A, transpose(BT)) == expected
+            assert symbolic_det(laurent_pencil(A, transpose(BT))) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 24, 40])
     def test_identity_pencils_meet_the_bound(self, n):
@@ -260,8 +314,13 @@ class TestPencilDet:
         count = 0
         for signs in sign_grid(5, 4):
             blocks = build_blocks(signs)
-            assert det_P_minus_tQT(signs) == symbolic_det(laurent_pencil(blocks.P, blocks.Q)), signs
+            # The bracket forms share no code with the elimination loop.
+            reduced_p, reduced_q = reduced_form_dets(signs)
+            det_p = det_P_minus_tQT(signs)
+            assert det_p == reduced_p, signs
+            assert det_p == symbolic_det(laurent_pencil(blocks.P, blocks.Q)), signs
             det_q = det_Q_minus_tPT(signs)
+            assert det_q == reduced_q, signs
             assert det_q == symbolic_det(laurent_pencil(blocks.Q, blocks.P)), signs
             assert det_q == _pencil_det(blocks.Q, blocks.P), signs
             count += 1

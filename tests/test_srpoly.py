@@ -9,7 +9,9 @@ from srknots.laurent import (
     normalize,
     parse,
 )
+from srknots import srpoly
 from srknots.srpoly import (
+    MAX_BANDS,
     SRDecomposition,
     SRParams,
     F_factor,
@@ -149,6 +151,35 @@ class TestProductFormula:
 
     def test_empty_product(self):
         assert str(product_formula(SRDecomposition())) == "1"
+
+
+class TestBandBudget:
+    def test_factors_at_the_budget_and_one_above(self):
+        at = SRParams(MAX_BANDS, 3, 1)
+        # f(1) = -(-1)^p and F(1) = f(1)^2, whatever m is.
+        assert eval_int(f_factor(at), 1) == 1
+        assert eval_int(F_factor(at).poly, 1) == 1
+        above = SRParams(MAX_BANDS + 1, 3, 1)
+        message = f"{MAX_BANDS + 1:,} bands are above the budget of {MAX_BANDS}"
+        for func in (f_factor, F_factor):
+            with pytest.raises(ValueError, match=message):
+                func(above)
+
+    def test_product_counts_every_factor(self):
+        # The budget is on the sum of m, checked before any factor is formed.
+        halves = SRDecomposition((SRParams(MAX_BANDS // 2, 0, 0), SRParams(MAX_BANDS // 2 + 1, 1, 0)))
+        with pytest.raises(ValueError, match=f"{MAX_BANDS + 1:,} bands are above the budget"):
+            product_formula(halves)
+
+    def test_product_at_a_lowered_budget(self, monkeypatch):
+        # A product with m summing to the real budget takes about a second,
+        # so the edge is shown at a budget of 6.
+        monkeypatch.setattr(srpoly, "MAX_BANDS", 6)
+        at = SRDecomposition((SRParams(2, 1, 1), SRParams(4, -3, 2)))
+        expected = F_factor(SRParams(2, 1, 1)).poly * F_factor(SRParams(4, -3, 2)).poly
+        assert equal_up_to_unit(product_formula(at).poly, expected)
+        with pytest.raises(ValueError, match="7 bands are above the budget of 6"):
+            product_formula(SRDecomposition(at.factors + (SRParams(1, 0, 0),)))
 
 
 class TestMirrorIdentity:
