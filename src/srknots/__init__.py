@@ -57,7 +57,6 @@ from .numtheory import (
     PairVerdict,
     admissible_pair,
     catalan_scan,
-    factorize,
     scan_base_match,
     scan_det_power_products,
     scan_minus_match,

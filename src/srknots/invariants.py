@@ -16,10 +16,11 @@ __all__ = ["delta2", "knot_det", "is_pm_power_product", "symmetry_check"]
 
 
 # Bits that dp(2) may hold before `delta2` forms it.  Deciding whether a
-# value of this many bits is a product of 2^s +- 1 takes up to about 1.9 s
-# (the slowest shape measured, (2^N - 1)(2^N + 1), read 1.3 s at 200,000
-# bits, 2.5 s at 300,000 and 4.7 s at 400,000 on a 2-core x86-64 VM under
-# Python 3.11), and the `1 - t^100000 + t^200000` probe needs 200,003.
+# value of this many bits is a product of 2^s +- 1 takes up to about 2.7 s
+# (the slowest shape measured, (2^N - 1)(2^N + 1), read 2.0 s at 200,000
+# bits, 2.7 s at 250,000, 3.7 s at 300,000 and 5.4-6.2 s at 400,000 on a
+# shared 2-core x86-64 VM under Python 3.11, nearly all of it in
+# `_pm_divisors`), and the `1 - t^100000 + t^200000` probe needs 200,003.
 DELTA2_BITS = 250_000
 
 
@@ -183,12 +184,35 @@ def is_pm_power_product(n: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Whether n is a product of integers of the form 2^s +- 1, each > 1.
 
     Returns (flag, witness): the witness is one multiset of factors, largest
-    first, multiplying back to n; n = 1 gets the empty witness.  The search
-    is depth-first with an explicit stack, so deep factor chains cannot
-    exhaust the interpreter's recursion limit.
+    first, multiplying back to n; n = 1 gets the empty witness.
 
-    The candidate factors come from one scan of n (`_pm_divisors`) that
-    rules out most s before any big-int step:
+    The decision is one division chain.  The factors of 2 = 2^0 + 1 are
+    stripped first.  The generators are 2^s + 1 (s >= 1) and 2^s - 1 with
+    s odd (s >= 3); 2^s - 1 with s even is (2^(s/2) - 1)(2^(s/2) + 1), so
+    it is left out.  Each generator has a cyclotomic index D, the least
+    exponent with G | 2^D - 1: s for 2^s - 1 and 2s for 2^s + 1, odd and
+    even respectively, so no two generators share one (3 is 2^1 + 1, of
+    index 2).  The chain walks the generators that divide n
+    (`_pm_divisors`) once, by decreasing D, and divides each out while it
+    divides; n is a product exactly when 1 is left.
+
+    Why the greedy step is exact: let m be a product of generators and G,
+    of index D, the generator of largest index that divides m.  If D != 6,
+    Zsigmondy's theorem (Bang 1886, Zsigmondy 1892) gives a prime q with
+    ord_q(2) = D, which divides 2^D - 1 but no 2^j - 1 with j < D; so q
+    divides G (for G = 2^s + 1 it divides (2^s - 1) G but not 2^s - 1).
+    Some generator H of m's representation holds q, so D divides H's
+    index; H divides m, so its index is at most D.  Hence H has index D
+    and H = G: G is in every representation of m, and m is a product
+    exactly when m / G is one.  D = 6 is the exception of the theorem
+    (2^6 - 1 = 3^2 * 7 has no new prime): G = 9 = 3 * 3, and the
+    generators of index at most 6 are 3, 7, 5, 31 and 9, so such an m is
+    3^a 5^b 7^c 31^d with a >= 2, and m / 9 is still a product.  Once G no
+    longer divides the cofactor, no later division makes it divide, so
+    the next generator in the walk that divides is the largest again.  A
+    factor of any cofactor divides n, so n's list serves every step.
+
+    `_pm_divisors` rules out most s before any big-int step:
 
     - an odd prime q that does not divide n strikes every s with
       q | 2^s +- 1, which ord_q(2) decides;
@@ -205,22 +229,19 @@ def is_pm_power_product(n: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    # A factor of any cofactor of n divides n, so n's list serves every node.
-    divisors = list(_pm_divisors(n))
-    dead: set[int] = set()  # cofactors known not to be such products
-    factors: list[int] = []
-    stack = [iter(divisors)]  # per cofactor on the path, its untried factors
-    k = n
-    while k != 1:
-        v = next(stack[-1], None)
-        if v is None:
-            dead.add(k)
-            stack.pop()
-            if not factors:
-                return False, None
-            k *= factors.pop()
-        elif k // v not in dead:
+    twos = (n & -n).bit_length() - 1
+    n >>= twos
+    chain = {}  # cyclotomic index -> generator
+    for v in _pm_divisors(n):
+        if (v - 1) & (v - 2) == 0:  # 2^s + 1, s = bit length - 1
+            chain[2 * v.bit_length() - 2] = v
+        elif v.bit_length() % 2:  # 2^s - 1 with s = bit length odd
+            chain[v.bit_length()] = v
+    factors = []
+    for _, v in sorted(chain.items(), reverse=True):
+        while n % v == 0:
             factors.append(v)
-            k //= v
-            stack.append(iter([w for w in divisors if w <= k and k % w == 0]))
-    return True, tuple(factors)
+            n //= v
+    if n != 1:
+        return False, None
+    return True, tuple(sorted(factors, reverse=True)) + (2,) * twos

@@ -1,11 +1,11 @@
-"""Exact integer machinery: factorization, prime-support scans, determinant shapes.
+"""Exact integer machinery: prime-support scans and determinant shapes.
 
 The determinant of a knot built from m-band fusions is (2^m - 1)^a (2^m + 1)^b,
 so questions about knots shared between band counts reduce to coincidences
-between such power products.  This module provides complete factorization,
-bounded brute-force scans over the relevant exponential Diophantine shapes
-(the `nt scan` families), and the admissible-pair classifier for band counts
-(`nt pairs`).
+between such power products.  This module provides bounded brute-force
+scans over the relevant exponential Diophantine shapes (the `nt scan`
+families), and the admissible-pair classifier for band counts (`nt pairs`).
+No scan factors a value.
 
 Three scan families (`minus`, `base`, `plus`) ask whether two values have
 the same prime support P(x), the set of primes dividing x.  They answer by
@@ -29,13 +29,11 @@ finite boxes, not proofs.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
     "PairVerdict",
-    "factorize",
     "catalan_scan",
     "scan_minus_match",
     "scan_base_match",
@@ -44,131 +42,9 @@ __all__ = [
     "admissible_pair",
 ]
 
-_TRIAL_LIMIT = 10_000
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def _small_primes() -> list[int]:
-    sieve = bytearray([1]) * (_TRIAL_LIMIT + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, int(math.isqrt(_TRIAL_LIMIT)) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
-_SMALL_PRIMES = _small_primes()
 # The product of the primes below 50: gcd(v, _PRIMORIAL) is the scans'
 # signature of v.
-_PRIMORIAL = math.prod(p for p in _SMALL_PRIMES if p < 50)
-
-
-def is_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic for n below ~3.3e24; fixed-seed rounds above."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-
-    def witness_passes(a: int) -> bool:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            return True
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                return True
-        return False
-
-    witnesses = list(_MR_WITNESSES)
-    if n >= _MR_DETERMINISTIC_BOUND:
-        rng = random.Random(0xC0FFEE ^ n)
-        witnesses += [rng.randrange(2, n - 1) for _ in range(24)]
-    return all(witness_passes(a) for a in witnesses)
-
-
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 1000):
-        y, m_batch, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m_batch, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m_batch
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed to split {n}")
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Complete prime factorization as a prime -> multiplicity map."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return out
-    # (value, multiplicity) pairs; a perfect power r^k goes back as r with k
-    # times the multiplicity, since rho needs about sqrt(r) steps to split it.
-    stack = [(n, 1)]
-    while stack:
-        m, mult = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + mult
-            continue
-        root, k = _perfect_power(m)
-        if k > 1:
-            stack.append((root, mult * k))
-            continue
-        d = _pollard_rho(m)
-        stack.append((d, mult))
-        stack.append((m // d, mult))
-    return out
-
-
-def _perfect_power(n: int) -> tuple[int, int]:
-    """(r, k) with r^k = n for a prime k, or (n, 1) when there is none.
-
-    For n with no prime factor below _TRIAL_LIMIT, as `factorize` passes
-    it: then r > 2^13, so only primes k <= n.bit_length() / 13 can occur.
-    """
-    for k in range(2, n.bit_length() // 13 + 1):
-        if is_prime(k):
-            r = _iroot(n, k)
-            if r**k == n:
-                return r, k
-    return n, 1
+_PRIMORIAL = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
 
 
 def _same_support(x: int, y: int) -> bool:

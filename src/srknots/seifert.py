@@ -79,7 +79,6 @@ __all__ = [
     "FusionSigns",
     "SeifertBlocks",
     "SeifertMatrix",
-    "value_row",
     "build_blocks",
     "parse_matrix",
     "parse_int_matrix",
@@ -395,19 +394,6 @@ def det_Q_minus_tPT(signs: FusionSigns) -> LaurentPoly:
 
 # -- closed forms ------------------------------------------------------------
 
-def value_row(sign: int) -> tuple[int, int, LaurentPoly, LaurentPoly, LaurentPoly]:
-    """(a, b, c, d, e) from the defining formulas a=(s+1)/2, b=(s-1)/2,
-    c = a - t b, d = b - t a, e = s (1 - t)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    a = (sign + 1) // 2
-    b = (sign - 1) // 2
-    c = LaurentPoly({0: a, 1: -b})
-    d = LaurentPoly({0: b, 1: -a})
-    e = LaurentPoly({0: sign, 1: -sign})
-    return a, b, c, d, e
-
-
 def closed_form_dets(signs: FusionSigns) -> tuple[LaurentPoly, LaurentPoly]:
     """Two-term closed forms of |P - t Q^T| and |Q - t P^T|.
 
@@ -425,7 +411,8 @@ def closed_form_dets(signs: FusionSigns) -> tuple[LaurentPoly, LaurentPoly]:
     m = signs.m
     K = (1 + (1 << m)).bit_length() + 2
     x = 1 << K
-    # (c, d, e) at x from a and b, as `value_row` defines them.
+    # (c, d, e) at x for each sign s: a = (s + 1)/2, b = (s - 1)/2,
+    # c = a - t b, d = b - t a and e = s (1 - t).
     at_x = {}
     for s in (1, -1):
         a, b = (s + 1) // 2, (s - 1) // 2

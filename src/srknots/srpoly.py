@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Tuple
 
 from .laurent import LaurentPoly, NormalForm, PolyParseError, equal_up_to_unit, normalize
@@ -42,6 +42,18 @@ __all__ = [
 # and a one-factor product_formula 1.2 s; at m = 2,000 they take 0.70 s and
 # 13.5 s, and F_factor takes 4.4 s at 4,000 (2-core x86_64 VM, Python 3.11).
 MAX_BANDS = 1000
+
+
+# Largest bound on the term count of a product that `product_formula`
+# forms; more is refused with ValueError before any multiplication.  The
+# bound is min(prod (4 m_i + 3), sum span(F_i) + 1), since F(m, l, p) has at
+# most 4m + 3 terms.  Spread linking numbers reach it: F(1, 3^i, 0) for
+# i < 12 has 531,441 terms, its bound, and takes 1.6 s (0.58 s at i < 11);
+# F(1, 10^(i+2), 0) for i < 9 has 255,879 terms under a bound of 40 million
+# and takes 0.93 s (2-core x86_64 VM, Python 3.11).  Terms are not the whole
+# cost: F(100, 1000 i, 0) for 1 <= i <= 8 has a bound of 72,001 and takes
+# 16 s, in products of wide binomial coefficients.
+MAX_PRODUCT_TERMS = 500_000
 
 
 def _check_bands(m: int) -> None:
@@ -149,9 +161,17 @@ def product_formula(factors: SRDecomposition) -> NormalForm:
 
     This is the Alexander polynomial of the knot that these fusions build
     from the trivial knot; the empty decomposition gives 1.  A sum of band
-    counts above MAX_BANDS raises ValueError before any factor is formed.
+    counts above MAX_BANDS, or a term bound above MAX_PRODUCT_TERMS, raises
+    ValueError before any factor is formed.
     """
     _check_bands(sum(prm.m for prm in factors))
+    terms = prod(4 * prm.m + 3 for prm in factors)
+    if terms > MAX_PRODUCT_TERMS:  # the span bound costs more, so only then
+        terms = min(terms, sum(map(factor_span, factors)) + 1)
+    if terms > MAX_PRODUCT_TERMS:
+        raise ValueError(
+            f"the product may hold {terms:,} terms, above the budget of {MAX_PRODUCT_TERMS:,} terms"
+        )
     acc = LaurentPoly.one()
     for prm in factors:
         f = f_factor(prm)

@@ -11,7 +11,7 @@ from srknots import cli
 from srknots.cli import main
 from srknots.laurent import LaurentPoly, normalize, parse
 from srknots.seifert import FUSION_SIZE, MATRIX_SIZE
-from srknots.srpoly import MAX_BANDS, SRParams, f_factor
+from srknots.srpoly import MAX_BANDS, MAX_PRODUCT_TERMS, SRParams, f_factor
 from srknots.srsearch import MAX_SEARCH_SPAN
 
 
@@ -188,6 +188,28 @@ class TestSrCommands:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == f"error: 100,000,000 bands are above the budget of {MAX_BANDS}\n"
+
+    def test_spread_product_above_the_term_budget_exits_1_promptly(self):
+        # Each factor has 7 terms and the linking numbers share no exponent
+        # range, so the term count grows about 3.4x per factor: ten factors
+        # gave 846,369 terms in 3.3 s before the budget.
+        factors = "*".join(f"F(1,{10 ** (i + 2)},0)" for i in range(12))
+        done = run_cli_process("sr", "product", "--factors", factors, timeout=10)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            f"error: the product may hold {7**12:,} terms, above the budget of "
+            f"{MAX_PRODUCT_TERMS:,} terms\n"
+        )
+
+    def test_classify_many_pm_divisors_is_prompt(self):
+        # delta2 = 11 (2^240 - 1)^2 has dozens of 2^s +- 1 divisors; a
+        # depth-first search over them took 24 s.
+        done = run_cli_process(
+            "sr", "classify", "--poly",
+            "1 + 3*t + t^2 - 2*t^240 - 6*t^241 - 2*t^242 + t^480 + 3*t^481 + t^482",
+            timeout=10,
+        )
+        assert (done.returncode, done.stdout) == (0, "NOT_SR obstruction=DELTA2_FACTOR\n")
 
     def test_classify_above_search_budget_exits_1(self, capsys):
         # (1 - t + t^2)^33 has span 66 and passes every cheaper obstruction.

@@ -308,6 +308,87 @@ class TestPmDivisors:
         assert seen > 100
 
 
+def reference_pm_power_product(n):
+    """Depth-first search over cofactors: the search the division chain replaced.
+
+    It tries every 2^s +- 1 divisor of each cofactor, with an explicit stack
+    and a set of cofactors known to fail, so it is exponential in the number
+    of such divisors of n.
+    """
+    divisors = list(reference_pm_divisors(n))
+    dead = set()
+    factors = []
+    stack = [iter(divisors)]
+    k = n
+    while k != 1:
+        v = next(stack[-1], None)
+        if v is None:
+            dead.add(k)
+            stack.pop()
+            if not factors:
+                return False, None
+            k *= factors.pop()
+        elif k // v not in dead:
+            factors.append(v)
+            k //= v
+            stack.append(iter([w for w in divisors if w <= k and k % w == 0]))
+    return True, tuple(factors)
+
+
+def assert_witness(n, witness):
+    product = 1
+    for w in witness:
+        product *= w
+        # w - 1 or w + 1 is a power of two, and w > 1.
+        assert w > 1 and ((w - 1) & (w - 2) == 0 or (w + 1) & w == 0), (n, w)
+    assert product == n, n
+    assert list(witness) == sorted(witness, reverse=True), n
+
+
+class TestDivisionChain:
+    def assert_matches_reference(self, n):
+        ok, witness = is_pm_power_product(n)
+        assert ok == reference_pm_power_product(n)[0], n
+        if ok:
+            assert_witness(n, witness)
+        else:
+            assert witness is None
+
+    def test_every_small_n(self):
+        for n in range(1, 20000):
+            self.assert_matches_reference(n)
+
+    def test_seeded_products_of_up_to_six_generators(self):
+        rng = random.Random(31)
+        primes = [q for q in range(2, 50) if all(q % d for d in range(2, q))]
+        for i in range(300):
+            n = primes[rng.randrange(len(primes))] if i % 2 else 1
+            for _ in range(rng.randrange(1, 7)):
+                n *= pm_value(rng.randrange(60), rng.choice((1, -1)))
+            self.assert_matches_reference(n)
+
+    def test_every_two_generator_shape(self):
+        values = sorted({pm_value(a, sign) for a in range(41) for sign in (1, -1)} - {0, 1})
+        for i, x in enumerate(values):
+            for y in values[i:]:
+                for cofactor in (1, 3, 9, 11):
+                    self.assert_matches_reference(x * y * cofactor)
+
+    def test_even_mersenne_values_split(self):
+        # 2^s - 1 with s even is (2^(s/2) - 1)(2^(s/2) + 1), so no witness
+        # holds it.
+        assert is_pm_power_product(15) == (True, (5, 3))
+        assert is_pm_power_product(63) == (True, (9, 7))
+        assert is_pm_power_product(255) == (True, (17, 5, 3))
+
+    def test_many_dividing_generators_decide_promptly(self):
+        # The reference search takes about 72 s here: 11 (2^360 - 1)^2 has
+        # dozens of 2^s +- 1 divisors and is no such product.
+        start = time.perf_counter()
+        assert is_pm_power_product(11 * ((1 << 360) - 1) ** 2) == (False, None)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestPmPowerProduct:
     def test_witness_for_35(self):
         ok, witness = is_pm_power_product(35)

@@ -1,7 +1,6 @@
-import contextlib
+import functools
 import math
 import random
-import signal
 
 import pytest
 
@@ -12,8 +11,6 @@ from srknots.numtheory import (
     _same_support,
     admissible_pair,
     catalan_scan,
-    factorize,
-    is_prime,
     scan_base_match,
     scan_det_power_products,
     scan_minus_match,
@@ -21,116 +18,10 @@ from srknots.numtheory import (
 )
 
 
-def naive_prime_set(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
+@functools.cache
 def support(n):
-    """P(n) by complete factorization: the oracle for `_same_support`."""
-    return frozenset(factorize(n))
-
-
-@contextlib.contextmanager
-def time_bound(seconds):
-    """Raise TimeoutError in the block if it runs for more than `seconds`."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-class TestFactorization:
-    def test_examples(self):
-        assert support(9) == {3}
-        assert support(2**3 + 1) == support(2**1 + 1)
-        assert sorted(factorize(63)) == [3, 7]
-        assert factorize(1) == {}
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            factorize(0)
-
-    def test_against_naive_trial_division(self):
-        rng = random.Random(31)
-        samples = list(range(1, 2000)) + [rng.randrange(1, 10**6) for _ in range(500)]
-        for n in samples:
-            assert tuple(sorted(factorize(n))) == naive_prime_set(n), n
-
-    def test_reconstruction_from_multiplicities(self):
-        rng = random.Random(17)
-        values = [2**31 - 1, 2**20 + 1, 3**12 - 1, (2**20 - 1) * (2**19 + 1)]
-        values += [rng.randrange(2, 10**12) for _ in range(50)]
-        for n in values:
-            factors = factorize(n)
-            product = 1
-            for p, e in factors.items():
-                assert is_prime(p), (n, p)
-                product *= p**e
-            assert product == n
-
-    def test_large_semiprime(self):
-        p, q = 1_000_003, 999_983
-        assert sorted(factorize(p * q)) == [q, p]
-
-    def test_matches_sympy_factorint(self):
-        sympy = pytest.importorskip("sympy")
-        rng = random.Random(2718)
-
-        def prime_of_bits(low, high):
-            return sympy.nextprime(rng.randrange(1 << (low - 1), 1 << high))
-
-        samples = list(range(1, 3000))
-        big = [prime_of_bits(20, 31) for _ in range(24)]
-        samples += [big[i] * big[i + 1] for i in range(0, 24, 2)]
-        samples += [p**k for p in (2, 3, 7919, 10007, *big[:4]) for k in (2, 3, 5)]
-        # Chernick's (6k + 1)(12k + 1)(18k + 1) is a Carmichael number when
-        # all three factors are prime; from k = 1667 on, every factor lies
-        # above trial division, so the number reaches the primality test.
-        chernick = [k for k in (*range(1, 400), *range(1667, 2400))
-                    if all(sympy.isprime(j * k + 1) for j in (6, 12, 18))]
-        samples += [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in chernick]
-        samples += [561, 1105, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041]
-        samples += [big[0] ** 2 * big[1], big[2] ** 3 * big[3] ** 2, 3**4 * big[4] ** 2 * big[5]]
-        for n in samples:
-            assert factorize(n) == sympy.factorint(n), n
-
-    def test_powers_of_primes_above_trial_division(self):
-        # Pollard rho needs about sqrt(p) steps to split p^k, so these end
-        # promptly only when perfect powers are split off by integer roots.
-        sympy = pytest.importorskip("sympy")
-        m61, m89, m127 = 2**61 - 1, 2**89 - 1, 2**127 - 1
-        samples = [
-            m61**2,
-            m61**3 * 1_000_003**5,
-            m61**6 * 10007**4,
-            m89**7,
-            m89**6 * 65537**3,
-            m127**5 * 3**4,
-            (m61 * 1_000_003) ** 6,
-            10007**2 * 10009,
-            1_000_003**39 * 65537**31,
-        ]
-        for n in samples:
-            with time_bound(5):
-                got = factorize(n)
-            assert got == sympy.factorint(n), n
+    """P(n) by sympy's complete factorization: the oracle for `_same_support`."""
+    return frozenset(pytest.importorskip("sympy").factorint(n))
 
 
 class TestSameSupport:
@@ -277,7 +168,8 @@ class TestSignaturePrefilter:
             for y in (x * x, x**3 * 7, 2 * x):
                 if _same_support(x, y):
                     assert math.gcd(x, _PRIMORIAL) == math.gcd(y, _PRIMORIAL)
-        assert _PRIMORIAL == math.prod(p for p in range(2, 50) if is_prime(p))
+        sympy = pytest.importorskip("sympy")
+        assert _PRIMORIAL == math.prod(sympy.primerange(50))
 
     def test_few_pairs_reach_the_modular_powers(self, monkeypatch):
         calls = []

@@ -28,7 +28,6 @@ from srknots.seifert import (
     det_Q_minus_tPT,
     reduced_form_dets,
     symbolic_det,
-    value_row,
 )
 from srknots.srpoly import F_factor, SRParams, _one_minus_t_power
 
@@ -51,6 +50,20 @@ class TestFusionSigns:
         signs = FusionSigns((1, -1, 1), -2)
         assert signs.m == 3 and signs.p == 2 and signs.l_sign == -1
         assert signs.params == SRParams(3, -2, 2)
+
+
+def value_row(sign):
+    """(a, b, c, d, e) from the defining formulas a=(s+1)/2, b=(s-1)/2,
+    c = a - t b, d = b - t a, e = s (1 - t): the reference that the closed
+    forms are checked against."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    a = (sign + 1) // 2
+    b = (sign - 1) // 2
+    c = LaurentPoly({0: a, 1: -b})
+    d = LaurentPoly({0: b, 1: -a})
+    e = LaurentPoly({0: sign, 1: -sign})
+    return a, b, c, d, e
 
 
 class TestValueTable:

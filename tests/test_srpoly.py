@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from srknots.laurent import (
 from srknots import srpoly
 from srknots.srpoly import (
     MAX_BANDS,
+    MAX_PRODUCT_TERMS,
     SRDecomposition,
     SRParams,
     F_factor,
@@ -180,6 +182,53 @@ class TestBandBudget:
         assert equal_up_to_unit(product_formula(at).poly, expected)
         with pytest.raises(ValueError, match="7 bands are above the budget of 6"):
             product_formula(SRDecomposition(at.factors + (SRParams(1, 0, 0),)))
+
+
+def term_bound(dec):
+    """min(prod (4 m_i + 3), sum span(F_i) + 1), from the parameters alone."""
+    return min(math.prod(4 * prm.m + 3 for prm in dec),
+               sum(factor_span(prm) for prm in dec) + 1)
+
+
+class TestProductTermBudget:
+    def test_bound_holds_on_seeded_products(self):
+        rng = random.Random(37)
+        tight = 0
+        for _ in range(200):
+            dec = SRDecomposition(tuple(
+                SRParams(m, rng.choice((rng.randint(-6, 6), rng.randint(-60, 60))),
+                         rng.randint(0, m))
+                for m in (rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+            ))
+            for prm in dec:
+                assert len(F_factor(prm).poly.terms) <= 4 * prm.m + 3, prm
+            terms = len(product_formula(dec).poly.terms)
+            assert terms <= term_bound(dec), dec
+            tight += terms == term_bound(dec)
+        assert tight > 0
+
+    def test_product_at_a_lowered_budget(self, monkeypatch):
+        monkeypatch.setattr(srpoly, "MAX_PRODUCT_TERMS", 49)
+        at = SRDecomposition((SRParams(1, 100, 0), SRParams(1, 1000, 0)))
+        assert term_bound(at) == 49
+        assert len(product_formula(at).poly.terms) == 33
+        above = SRDecomposition(at.factors + (SRParams(1, 10, 0),))
+        with pytest.raises(ValueError, match="343 terms, above the budget of 49 terms"):
+            product_formula(above)
+        # 7^3 = 343 by the term counts, but the spans 2 + 4 + 6 allow only 13.
+        narrow = SRDecomposition(tuple(SRParams(1, l, 0) for l in (1, 2, 3)))
+        assert term_bound(narrow) == 13
+        assert len(product_formula(narrow).poly.terms) == 13
+
+    def test_refused_before_any_factor_is_formed(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a factor was formed")
+
+        monkeypatch.setattr(srpoly, "f_factor", forbidden)
+        spread = SRDecomposition(tuple(SRParams(1, 10 ** (i + 2), 0) for i in range(12)))
+        assert term_bound(spread) == 7**12 > MAX_PRODUCT_TERMS
+        with pytest.raises(ValueError, match=f"{7**12:,} terms, above the budget"):
+            product_formula(spread)
 
 
 class TestMirrorIdentity:
