@@ -8,7 +8,7 @@ normal forms.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .laurent import NormalForm, equal_up_to_unit, eval_int
 
@@ -16,11 +16,11 @@ __all__ = ["delta2", "knot_det", "is_pm_power_product", "symmetry_check"]
 
 
 # Bits that dp(2) may hold before `delta2` forms it.  Deciding whether a
-# value of this many bits is a product of 2^s +- 1 takes up to about 2.7 s
-# (the slowest shape measured, (2^N - 1)(2^N + 1), read 2.0 s at 200,000
-# bits, 2.7 s at 250,000, 3.7 s at 300,000 and 5.4-6.2 s at 400,000 on a
-# shared 2-core x86-64 VM under Python 3.11, nearly all of it in
-# `_pm_divisors`), and the `1 - t^100000 + t^200000` probe needs 200,003.
+# value of this many bits is a product of 2^s +- 1 takes up to about 2.6 s
+# (the slowest shape measured, (2^N - 1)(2^N + 1), read 1.4-1.8 s at
+# 200,000 bits, 2.2-2.6 s at 250,000 and 2.8-3.6 s at 300,000 on a shared
+# 2-core x86-64 VM under Python 3.11, nearly all of it in `_generators`),
+# and the `1 - t^100000 + t^200000` probe needs 200,003.
 DELTA2_BITS = 250_000
 
 
@@ -64,46 +64,22 @@ def symmetry_check(dp: NormalForm) -> bool:
     return equal_up_to_unit(dp.poly, dp.poly.substitute_inverse())
 
 
-def _order_of_two(q: int) -> int:
-    e, r = 1, 2
-    while r != 1:
-        e, r = e + 1, 2 * r % q
-    return e
-
-
-# (q, ord_q(2)) for the odd primes q < 256, by increasing order.  A larger
-# bound strikes few more s but costs far more to tabulate at import.
-_SIEVE_PRIMES = tuple(sorted(
-    (
-        (q, _order_of_two(q))
-        for q in range(3, 256, 2)
-        if all(q % d for d in range(3, int(q**0.5) + 1, 2))
-    ),
-    key=lambda qe: qe[1],
-))
-
-
 def _strike(flags: bytearray, start: int, step: int) -> None:
     """Clear flags[start], flags[start + step], ... up to the sentinel."""
     flags[start:-1:step] = bytes(len(range(start, len(flags) - 1, step)))
 
 
-def _pm_divisors(n: int) -> Iterator[int]:
-    """The values 2^s +- 1 in (1, n] that divide n, largest first.
+def _generators(n: int) -> List[Tuple[int, int]]:
+    """(cyclotomic index, G) for each generator G that divides the odd n.
 
-    2^s + 1 for s >= 0 and 2^s - 1 for s >= 3 give each value once
-    (3 = 2^1 + 1 = 2^2 - 1); the factor 1 is excluded so that factor chains
-    strictly decrease.
+    The generators are 2^s + 1 for s >= 1, of index 2s, and 2^s - 1 for odd
+    s >= 3, of index s; the index of G is the least D with G | 2^D - 1.
+    2^s - 1 with s even is (2^(s/2) - 1)(2^(s/2) + 1), so it is none, and
+    neither is 2, which the caller strips.
 
     Most s are struck before any big-int step, and each survivor costs a few
     linear ones, not a full remainder:
 
-    - Sieve.  For an odd prime q with e = ord_q(2), q | 2^s - 1 iff e | s,
-      and q | 2^s + 1 iff e is even and s = e/2 (mod e).  So a small prime
-      q that does not divide n strikes those s from the candidates.  A
-      prime with e > 2 * top strikes no s <= top, so the primes are taken
-      by increasing order and the sieve stops at the first such one; for
-      the few-bit values of most knot tables it costs a handful of steps.
     - Window.  For s >= top/2, where top is the bit length of n, n < 2^(2s)
       splits as hi * 2^s + lo with hi < 2^(top-s) <= 2^s.  Then 2^s - 1 | n
       forces lo + hi to be 2^s - 1 or 2(2^s - 1), and 2^s + 1 | n forces
@@ -112,33 +88,22 @@ def _pm_divisors(n: int) -> Iterator[int]:
       bit of n nearest the middle gives the first s it rules out, and every
       larger s is struck with it.
     - Closure.  The survivors are tested from s = 1 up, and a failed test
-      strikes what it implies: 2^d - 1 divides 2^(kd) - 1, and 2^d + 1
-      divides 2^(kd) + 1 for odd k and 2^(2kd) - 1 for every k.  So if
-      2^d - 1 does not divide n, minus is struck at the multiples of d; if
-      2^d + 1 does not, plus is struck at 3d, 5d, ... and minus at the
-      multiples of 2d.  The next survivor is found with `bytearray.find`.
+      strikes what it implies: 2^d +- 1 divides 2^(kd) +- 1 for odd k, so
+      if it does not divide n, that sign is struck at 3d, 5d, ...  The next
+      survivor is found with `bytearray.find`.
     - Fold.  2^(2s) = 1 (mod 2^(2s) - 1), so splitting r at a multiple h of
       2s and replacing it with (r mod 2^h) + (r >> h) keeps its class modulo
       both 2^s - 1 and 2^s + 1.  Halving r this way down to 2s + 1 bits and
       splitting it at s into lo and hi leaves lo + hi = n (mod 2^s - 1) and
       lo - hi = n (mod 2^s + 1), so the exact test acts on s-bit values.
     """
-    if n < 2:
-        return
     top = n.bit_length()
-    # minus[s] (plus[s]): 2^s - 1 (2^s + 1) may divide n.  Index top + 1 is
-    # a sentinel that is never struck, so `find` always ends on a survivor.
-    minus = bytearray([1]) * (top + 2)
-    plus = bytearray([1]) * (top + 2)
-    minus[:3] = bytes(3)  # 2^s - 1 < 3 is no factor, and 3 is 2^1 + 1
-    plus[0] = 0  # 2 = 2^0 + 1 is the parity test at the end
-    for q, e in _SIEVE_PRIMES:
-        if e > 2 * top:  # strikes no s <= top, nor does any later prime
-            break
-        if n % q:
-            _strike(minus, 0, e)
-            if e % 2 == 0:
-                _strike(plus, e // 2, e)
+    # minus[s] (plus[s]): 2^s - 1 (2^s + 1) may divide n.  The last index,
+    # above top, is a sentinel that is never struck, so `find` always ends.
+    minus = bytearray(b"\0\1") * (top // 2 + 1) + b"\1"  # odd s only
+    minus[1] = 0  # 2^1 - 1 = 1
+    plus = bytearray([1]) * len(minus)
+    plus[0] = 0
     # Bit j lies in the window of every s >= max(j + 1, top - j), which is
     # j + 1 for j >= c and top - j below c.  So the lowest zero (one) bit at
     # or above c and the highest below c give the first s struck for minus
@@ -151,12 +116,12 @@ def _pm_divisors(n: int) -> Iterator[int]:
     one_below = top - low.bit_length() + 1
     _strike(minus, min(zero_above, zero_below), 1)
     _strike(plus, min(one_above, one_below), 1)
-    found = []  # ascending
+    found = []
     s = 0
     while True:
         s = min(minus.find(1, s), plus.find(1, s))
         if s > top:
-            break
+            return found
         width = 2 * s
         r = n
         while r.bit_length() > width + 1:
@@ -165,19 +130,15 @@ def _pm_divisors(n: int) -> Iterator[int]:
         lo, hi = r & ((1 << s) - 1), r >> s
         if minus[s]:
             if (lo + hi) % ((1 << s) - 1) == 0:
-                found.append((1 << s) - 1)
+                found.append((s, (1 << s) - 1))
             else:
-                _strike(minus, s, s)
+                _strike(minus, 3 * s, 2 * s)
         if plus[s]:
             if (lo - hi) % ((1 << s) + 1) == 0:
-                found.append((1 << s) + 1)
+                found.append((2 * s, (1 << s) + 1))
             else:
                 _strike(plus, 3 * s, 2 * s)
-                _strike(minus, 2 * s, 2 * s)
         s += 1
-    yield from reversed(found)
-    if n % 2 == 0:
-        yield 2
 
 
 def is_pm_power_product(n: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
@@ -187,14 +148,12 @@ def is_pm_power_product(n: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     first, multiplying back to n; n = 1 gets the empty witness.
 
     The decision is one division chain.  The factors of 2 = 2^0 + 1 are
-    stripped first.  The generators are 2^s + 1 (s >= 1) and 2^s - 1 with
-    s odd (s >= 3); 2^s - 1 with s even is (2^(s/2) - 1)(2^(s/2) + 1), so
-    it is left out.  Each generator has a cyclotomic index D, the least
-    exponent with G | 2^D - 1: s for 2^s - 1 and 2s for 2^s + 1, odd and
-    even respectively, so no two generators share one (3 is 2^1 + 1, of
-    index 2).  The chain walks the generators that divide n
-    (`_pm_divisors`) once, by decreasing D, and divides each out while it
-    divides; n is a product exactly when 1 is left.
+    stripped first.  One scan, `_generators`, lists the generators that
+    divide the rest with their cyclotomic indices D; its docstring defines
+    both and says how it finds them.  D is odd for 2^s - 1 and even for
+    2^s + 1, so no two generators share one (3 is 2^1 + 1, of index 2).
+    The chain walks them once, by decreasing D, and divides each out while
+    it divides; n is a product exactly when 1 is left.
 
     Why the greedy step is exact: let m be a product of generators and G,
     of index D, the generator of largest index that divides m.  If D != 6,
@@ -211,34 +170,13 @@ def is_pm_power_product(n: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     longer divides the cofactor, no later division makes it divide, so
     the next generator in the walk that divides is the largest again.  A
     factor of any cofactor divides n, so n's list serves every step.
-
-    `_pm_divisors` rules out most s before any big-int step:
-
-    - an odd prime q that does not divide n strikes every s with
-      q | 2^s +- 1, which ord_q(2) decides;
-    - every s >= top/2 (top = bit length of n) is struck at once past the
-      first s whose window, bits top-s .. s-1 of n, is not all ones (for
-      2^s - 1) or not all zeros (for 2^s + 1);
-    - the rest are tested from s = 1 up, and a failed test strikes its
-      consequences: 2^d - 1 not dividing n strikes 2^(kd) - 1, and 2^d + 1
-      not dividing n strikes 2^(kd) + 1 for odd k and 2^(2kd) - 1.
-
-    Each test that remains is linear in the bit length: 2^(2s) = 1
-    (mod 2^(2s) - 1), so n folds to 2s bits without changing its classes
-    modulo 2^s - 1 and 2^s + 1.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     twos = (n & -n).bit_length() - 1
     n >>= twos
-    chain = {}  # cyclotomic index -> generator
-    for v in _pm_divisors(n):
-        if (v - 1) & (v - 2) == 0:  # 2^s + 1, s = bit length - 1
-            chain[2 * v.bit_length() - 2] = v
-        elif v.bit_length() % 2:  # 2^s - 1 with s = bit length odd
-            chain[v.bit_length()] = v
     factors = []
-    for _, v in sorted(chain.items(), reverse=True):
+    for _, v in sorted(_generators(n), reverse=True):
         while n % v == 0:
             factors.append(v)
             n //= v

@@ -133,7 +133,11 @@ class LaurentPoly:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(tuple(sorted(self._terms.items())))
+            terms = self._terms
+            if terms.keys() <= {0}:  # a constant equals its int, so hashes as it
+                h = hash(terms.get(0, 0))
+            else:
+                h = hash(tuple(sorted(terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 

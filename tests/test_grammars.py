@@ -1,15 +1,16 @@
-"""Fuzz tests for the matrix, decomposition and corpus row text grammars.
+"""Fuzz tests for the polynomial, matrix, decomposition and corpus row text grammars.
 
 Printed forms must parse back to the same value, and any text must either
 parse or raise ValueError (the parse errors subclass it), never another
-exception.  A corpus row raises CorpusError, which names its line.
+exception.  A polynomial raises PolyParseError, whose position lies in the
+text, and a corpus row raises CorpusError, which names its line.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from srknots.corpus import CorpusError, KnotRecord, _parse_record
-from srknots.laurent import LaurentPoly, normalize
+from srknots.laurent import LaurentPoly, PolyParseError, normalize, parse
 from srknots import seifert
 from srknots.seifert import parse_int_matrix, parse_matrix
 from srknots.srpoly import SRDecomposition, SRParams, parse_decomposition
@@ -51,6 +52,28 @@ matrix_text = st.lists(
 decomposition_text = token_soup(
     "F(1,0,0)", "F(3,-2,1)", "F(2,5,3)", "F(0,1,0)", "F(", ",", ")", "-", "7", "*", "1", " ", "G"
 )
+
+
+poly_text = token_soup("1", "-3", "07", "t", "t^-2", "2*t^5", "+", "-", "*", "^", " ", "\t", "x", ",")
+
+
+def parses_or_names_its_position(text):
+    try:
+        parse(text)
+    except PolyParseError as exc:
+        assert 0 <= exc.position <= len(text), (text, exc.position)
+
+
+class TestPolyGrammar:
+    @given(poly_text)
+    @settings(deadline=None)
+    def test_near_grammar_text_parses_or_names_its_position(self, text):
+        parses_or_names_its_position(text)
+
+    @given(st.text(max_size=40))
+    @settings(deadline=None)
+    def test_any_text_parses_or_names_its_position(self, text):
+        parses_or_names_its_position(text)
 
 
 def print_matrix(rows):

@@ -8,9 +8,8 @@ import pytest
 from srknots import invariants
 from srknots.invariants import (
     DELTA2_BITS,
-    _SIEVE_PRIMES,
     _bits_at_two,
-    _pm_divisors,
+    _generators,
     delta2,
     is_pm_power_product,
     knot_det,
@@ -176,16 +175,37 @@ def reference_pm_divisors(n):
                 yield v
 
 
+def reference_generators(n):
+    """reference_pm_divisors(n) cut to the generators, as sorted (cyclotomic index, G)."""
+    pairs = []
+    for v in reference_pm_divisors(n):
+        if v > 2 and (v - 1) & (v - 2) == 0:  # 2^s + 1 with s >= 1, index 2s
+            pairs.append((2 * (v.bit_length() - 1), v))
+        elif v & (v + 1) == 0 and v.bit_length() % 2:  # 2^s - 1 with s odd, index s
+            pairs.append((v.bit_length(), v))
+    return sorted(pairs)
+
+
 def pm_value(s, sign):
     return 2 if s == 0 else (1 << s) + sign
 
 
 class TestPmDivisors:
     def assert_matches_reference(self, n):
-        assert list(_pm_divisors(n)) == list(reference_pm_divisors(n)), n
+        """The scan of n's odd part, the value the division chain hands it."""
+        n >>= (n & -n).bit_length() - 1
+        pairs = _generators(n)
+        assert sorted(pairs) == reference_generators(n), n
+        for index, g in pairs:
+            # 2^s - 1 at odd index s >= 3 or 2^s + 1 at index 2s >= 2: never
+            # 1, 2 or 2^s - 1 with s even (3 is 2^1 + 1).
+            if index % 2:
+                assert index >= 3 and g == (1 << index) - 1, (n, index, g)
+            else:
+                assert index >= 2 and g == (1 << index // 2) + 1, (n, index, g)
 
     def test_every_small_n(self):
-        for n in range(20000):
+        for n in range(1, 40000, 2):
             self.assert_matches_reference(n)
 
     def test_seeded_products_with_cofactors(self):
@@ -197,9 +217,12 @@ class TestPmDivisors:
             self.assert_matches_reference(n)
 
     def test_divisible_and_not_by_each_sieve_prime(self):
+        # Each odd prime q < 256 with e = ord_q(2), by increasing e: q divides
+        # 2^s - 1 exactly when e | s, and 2^s + 1 when s = e/2 (mod e).
         rng = random.Random(9)
-        for q, e in _SIEVE_PRIMES:
-            assert pow(2, e, q) == 1 and all(pow(2, d, q) != 1 for d in range(1, e))
+        primes = [q for q in range(3, 256, 2) if all(q % d for d in range(3, int(q**0.5) + 1, 2))]
+        orders = [(q, next(e for e in range(1, q) if pow(2, e, q) == 1)) for q in primes]
+        for q, e in sorted(orders, key=lambda qe: qe[1]):
             base = ((1 << e) - 1) * ((1 << (e // 2 or 1)) + 1) * (rng.getrandbits(200) | 1)
             while base % q == 0:
                 base //= q
@@ -271,12 +294,12 @@ class TestPmDivisors:
                 ones = (1 << (top - 1)) | run | noise
                 zeros = (1 << (top - 1)) | (noise & ~run)
                 for n in (ones, zeros, ones ^ (1 << rng.randrange(top - 1))):
-                    self.assert_matches_reference(n)
+                    self.assert_matches_reference(n | 1)
             # Exact multiples, one bit away from them, and the same built
             # so that the window holds and only the exact test can decide.
             s = rng.randrange((top + 1) // 2, top)
-            hi = rng.getrandbits(top - s) | 1 << (top - s - 1)
-            for n in ((hi << s) | ((1 << s) - 1 - hi), (hi << s) | hi):
+            hi = rng.getrandbits(top - s) | 1 << (top - s - 1) | 1
+            for n in (hi * ((1 << s) - 1), hi * ((1 << s) + 1)):
                 self.assert_matches_reference(n)
                 for j in (top - s - 1, top - s, s - 1, s):
                     self.assert_matches_reference(n ^ (1 << j))

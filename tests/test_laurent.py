@@ -130,6 +130,26 @@ class TestEqualUpToUnit:
         assert not equal_up_to_unit(LaurentPoly.zero(), P("1"))
 
 
+class TestHash:
+    def test_constants_hash_as_their_ints(self):
+        assert len({1, LaurentPoly.one()}) == 1
+        assert len({0, LaurentPoly.zero()}) == 1
+        assert {-7: "a"}[P("3 - 10")] == "a"
+
+    @given(st.integers(min_value=-(2**160), max_value=2**160))
+    @settings(deadline=None)
+    def test_equal_to_an_int_means_equal_hash(self, c):
+        p = LaurentPoly.constant(c)
+        assert p == c and hash(p) == hash(c)
+
+    @given(polys, polys)
+    @settings(deadline=None)
+    def test_equal_values_hash_equally(self, p, q):
+        rebuilt = (p + q) - q
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+        assert hash(LaurentPoly(p.terms)) == hash(p)
+
+
 class TestEvalInt:
     def test_root_at_two(self):
         assert eval_int(P("2 - 5*t + 2*t^2"), 2) == 0
