@@ -3,6 +3,10 @@
 Output is plain text, machine-parseable, one result per line; identical
 arguments always produce byte-identical stdout.  Exit codes: 0 success,
 1 computational failure (bad polynomial, failed verification), 2 usage error.
+
+Dispatch is one step: each leaf parser (`srknots <group> <verb>`) carries
+its command as the `command` default, and `main` runs `args.command(args)`.
+A command prints its result and returns None, or an exit code other than 0.
 """
 
 from __future__ import annotations
@@ -40,136 +44,20 @@ from .srsearch import Verdict, classify
 __all__ = ["main", "run", "build_parser"]
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use.
-
-    Building it costs about as much as a cheap command, so callers that run
-    `main(argv)` many times in one process share it.
-    """
-    parser = argparse.ArgumentParser(
-        prog="srknots",
-        description="Exact Alexander-polynomial toolkit for simple-ribbon knots.",
-    )
-    groups = parser.add_subparsers(dest="group", required=True)
-
-    poly = groups.add_parser("poly", help="Laurent polynomial operations")
-    poly_verbs = poly.add_subparsers(dest="verb", required=True)
-    p_eval = poly_verbs.add_parser("eval", help="exact evaluation at an integer")
-    p_eval.add_argument("--poly", required=True)
-    p_eval.add_argument("--at", required=True, type=int)
-    p_norm = poly_verbs.add_parser("normalize", help="canonical normal form")
-    p_norm.add_argument("--poly", required=True)
-
-    sr = groups.add_parser("sr", help="fusion factors, products, classification")
-    sr_verbs = sr.add_subparsers(dest="verb", required=True)
-    s_factor = sr_verbs.add_parser("factor", help="normalized factor F(t;m,l,p)")
-    s_factor.add_argument("--m", required=True, type=int)
-    s_factor.add_argument("--l", required=True, type=int)
-    s_factor.add_argument("--p", required=True, type=int)
-    s_product = sr_verbs.add_parser("product", help="product of a factor list")
-    s_product.add_argument("--factors", required=True, metavar='"F(m,l,p)*..."')
-    s_classify = sr_verbs.add_parser("classify", help="verdict and certificates")
-    s_classify.add_argument("--poly", required=True)
-
-    knot = groups.add_parser("knot", help="scalar invariants")
-    knot_verbs = knot.add_subparsers(dest="verb", required=True)
-    k_inv = knot_verbs.add_parser("invariants", help="delta2, determinant, symmetry")
-    k_inv.add_argument("--poly", required=True)
-
-    seifert = groups.add_parser("seifert", help="fusion block determinants")
-    seifert_verbs = seifert.add_subparsers(dest="verb", required=True)
-    se_check = seifert_verbs.add_parser("check", help="both determinants vs closed forms")
-    se_check.add_argument("--m", required=True, type=int)
-    se_check.add_argument("--l", required=True, type=int)
-    se_check.add_argument("--eps", required=True, metavar="+1,-1,...")
-    se_det = seifert_verbs.add_parser("det", help="symbolic determinant of a matrix")
-    se_det.add_argument("--matrix", required=True, metavar='"1 - t, 0; t, 1"')
-    se_alex = seifert_verbs.add_parser(
-        "alexander", help="normalized |M - t M^T| of an integer matrix"
-    )
-    se_alex.add_argument("--matrix", required=True, metavar='"-1,1;0,-1"')
-
-    nt = groups.add_parser("nt", help="integer scans and pair classification")
-    nt_verbs = nt.add_subparsers(dest="verb", required=True)
-    n_pairs = nt_verbs.add_parser("pairs", help="band-count pair admissibility")
-    n_pairs.add_argument("--m", required=True, type=int)
-    n_pairs.add_argument("--n", required=True, type=int)
-    n_scan = nt_verbs.add_parser("scan", help="bounded brute-force scans")
-    n_scan.add_argument(
-        "--family",
-        required=True,
-        choices=["catalan", "minus", "base", "plus", "det-powers"],
-    )
-    n_scan.add_argument("--bounds", required=True, metavar="a,b[,c,d]")
-
-    table = groups.add_parser("table", help="reference table verification")
-    table_verbs = table.add_subparsers(dest="verb", required=True)
-    t_verify = table_verbs.add_parser("verify", help="re-check every table row")
-    t_verify.add_argument("--corpus", default=None, help="path (default: bundled table)")
-
-    return parser
-
-
-def _subcommands(parser: argparse.ArgumentParser) -> dict:
-    """The name -> parser map of `parser`'s subcommand action."""
-    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices
-
-
-@functools.cache
-def _leaf_parsers() -> dict:
-    """{(group, verb): leaf parser}, taken from `build_parser()`'s subcommands."""
-    return {
-        (group, verb): leaf
-        for group, group_parser in _subcommands(build_parser()).items()
-        for verb, leaf in _subcommands(group_parser).items()
-    }
-
-
-def _parse_args(argv: list) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, with the work of the root and group parsers skipped.
-
-    When argv starts with a group and a verb, the nested parse hands the
-    rest to that verb's own parser, so parse it there directly.  Anything
-    else, or arguments the leaf leaves unrecognized, takes the nested parse,
-    so help, usage and root-level errors stay the root parser's.
-    """
-    leaf = _leaf_parsers().get(tuple(argv[:2]))
-    if leaf is not None:
-        args, unrecognized = leaf.parse_known_args(argv[2:])
-        if not unrecognized:
-            args.group, args.verb = argv[0], argv[1]
-            return args
-    return build_parser().parse_args(argv)
-
-
-def _parse_eps(text: str, m: int) -> tuple[int, ...]:
+def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
+    """`count` comma-separated integers; `what` names them in the errors."""
     try:
-        eps = tuple(int(x) for x in text.split(","))
+        values = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ValueError(f"bad sign list {text!r}") from None
-    if len(eps) != m:
-        raise ValueError(f"expected {m} band signs, got {len(eps)}")
-    return eps
+        raise ValueError(f"bad {what} {text!r}") from None
+    if len(values) != count:
+        raise ValueError(f"expected {count} comma-separated {what}, got {len(values)}")
+    return values
 
 
-def _parse_bounds(text: str, count: int) -> tuple[int, ...]:
-    try:
-        bounds = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad bounds {text!r}") from None
-    if len(bounds) != count:
-        raise ValueError(f"expected {count} comma-separated bounds, got {len(bounds)}")
-    return bounds
-
-
-def _bool_text(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
-def _fmt_hits(hits) -> str:
-    return ";".join("(" + ",".join(str(x) for x in hit) + ")" for hit in hits)
+def _word(flag: bool, words: tuple[str, str] = ("false", "true")) -> str:
+    """`flag` as text: words[1] when it holds, words[0] when not."""
+    return words[bool(flag)]
 
 
 # `poly eval` forms x^(e - v) for every term t^e, with v = min(min_exp, 0),
@@ -188,114 +76,182 @@ def _eval_bits(p, x: int) -> int:
     return math.ceil((sum(e - v for e in p.terms) - v) * math.log2(abs(x)))
 
 
-def _cmd_poly(args) -> int:
+def _poly_eval(args) -> None:
     p = parse(args.poly)
-    if args.verb == "eval":
-        bits = _eval_bits(p, args.at)
-        if bits > _EVAL_BITS:
-            raise ValueError(
-                f"evaluation forms powers of {bits:,} bits, "
-                f"above the budget of {_EVAL_BITS:,} bits"
-            )
-        print(eval_int(p, args.at))
+    bits = _eval_bits(p, args.at)
+    if bits > _EVAL_BITS:
+        raise ValueError(
+            f"evaluation forms powers of {bits:,} bits, "
+            f"above the budget of {_EVAL_BITS:,} bits"
+        )
+    print(eval_int(p, args.at))
+
+
+def _poly_normalize(args) -> None:
+    print(normalize(parse(args.poly)))
+
+
+def _sr_factor(args) -> None:
+    print(F_factor(SRParams(args.m, args.l, args.p)))
+
+
+def _sr_product(args) -> None:
+    print(product_formula(parse_decomposition(args.factors)))
+
+
+def _sr_classify(args) -> None:
+    outcome = classify(normalize(parse(args.poly)))
+    if outcome.verdict is Verdict.POLY_COMPATIBLE:
+        print("POLY_COMPATIBLE certificates=" + ";".join(str(d) for d in outcome.decompositions))
     else:
-        print(normalize(p))
-    return 0
+        print(f"NOT_SR obstruction={outcome.obstruction.value}")
 
 
-def _cmd_sr(args) -> int:
-    if args.verb == "factor":
-        print(F_factor(SRParams(args.m, args.l, args.p)))
-    elif args.verb == "product":
-        decomposition = parse_decomposition(args.factors)
-        print(product_formula(decomposition))
-    else:
-        outcome = classify(normalize(parse(args.poly)))
-        if outcome.verdict is Verdict.POLY_COMPATIBLE:
-            certs = ";".join(str(d) for d in outcome.decompositions)
-            print(f"POLY_COMPATIBLE certificates={certs}")
-        else:
-            print(f"NOT_SR obstruction={outcome.obstruction.value}")
-    return 0
-
-
-def _cmd_knot(args) -> int:
+def _knot_invariants(args) -> None:
     dp = normalize(parse(args.poly))
-    print(
-        f"delta2={delta2(dp)} det={knot_det(dp)} "
-        f"symmetric={_bool_text(symmetry_check(dp))}"
-    )
-    return 0
+    print(f"delta2={delta2(dp)} det={knot_det(dp)} symmetric={_word(symmetry_check(dp))}")
 
 
-def _cmd_seifert(args) -> int:
-    if args.verb == "det":
-        print(symbolic_det(parse_matrix(args.matrix)))
-        return 0
-    if args.verb == "alexander":
-        print(alexander_from_seifert(SeifertMatrix(parse_int_matrix(args.matrix))))
-        return 0
-    signs = FusionSigns(_parse_eps(args.eps, args.m), args.l)
+def _seifert_check(args) -> None:
+    signs = FusionSigns(_parse_ints(args.eps, args.m, "band signs"), args.l)
     det_p, det_q = block_dets(signs)
     closed_p, closed_q = closed_form_dets(signs)
-    print(f"det_P={det_p}")
-    print(f"det_Q={det_q}")
-    print(f"closed_P={closed_p}")
-    print(f"closed_Q={closed_q}")
-    print(f"agree={_bool_text(det_p == closed_p and det_q == closed_q)}")
-    return 0
+    print(f"det_P={det_p}\ndet_Q={det_q}\nclosed_P={closed_p}\nclosed_Q={closed_q}")
+    print(f"agree={_word(det_p == closed_p and det_q == closed_q)}")
 
 
-def _cmd_nt(args) -> int:
-    if args.verb == "pairs":
-        verdict = admissible_pair(args.m, args.n)
-        if verdict.admissible:
-            print(f"admissible=true family={verdict.family}")
-        else:
-            print("admissible=false")
-        return 0
-    family = args.family
-    if family == "catalan":
-        x_max, y_max, u_max, v_max = _parse_bounds(args.bounds, 4)
-        print(f"hits={_fmt_hits(catalan_scan(x_max, y_max, u_max, v_max))}")
-    elif family == "minus":
-        a_max, m_max = _parse_bounds(args.bounds, 2)
-        print(f"hits={_fmt_hits(scan_minus_match(a_max, m_max))}")
-    elif family == "base":
-        a_max, e_max = _parse_bounds(args.bounds, 2)
-        odd_hits, even_hits = scan_base_match(a_max, e_max)
-        print(f"odd_hits={_fmt_hits(odd_hits)}")
-        print(f"even_hits={_fmt_hits(even_hits)}")
-    elif family == "plus":
-        a_max, m_max = _parse_bounds(args.bounds, 2)
-        plus_plus, plus_minus = scan_plus_match(a_max, m_max)
-        print(f"plus_plus_hits={_fmt_hits(plus_plus)}")
-        print(f"plus_minus_hits={_fmt_hits(plus_minus)}")
-    else:
-        m_max, e_max = _parse_bounds(args.bounds, 2)
-        shapes = scan_det_power_products(m_max, e_max)
-        for i, hits in enumerate(shapes, start=1):
-            print(f"shape{i}={_fmt_hits(hits)}")
-    return 0
+def _seifert_det(args) -> None:
+    print(symbolic_det(parse_matrix(args.matrix)))
 
 
-def _cmd_table(args) -> int:
-    records = corpus_mod.load_corpus(args.corpus)
-    reports = corpus_mod.verify_corpus(records)
-    passed = 0
+def _seifert_alexander(args) -> None:
+    print(alexander_from_seifert(SeifertMatrix(parse_int_matrix(args.matrix))))
+
+
+def _nt_pairs(args) -> None:
+    verdict = admissible_pair(args.m, args.n)
+    print(f"admissible=true family={verdict.family}" if verdict.admissible else "admissible=false")
+
+
+# `nt scan --family`: family -> (number of bounds, scan, labels of the hit
+# lists the scan returns; a scan with one label returns one list).
+_SCANS = {
+    "catalan": (4, catalan_scan, ("hits",)),
+    "minus": (2, scan_minus_match, ("hits",)),
+    "base": (2, scan_base_match, ("odd_hits", "even_hits")),
+    "plus": (2, scan_plus_match, ("plus_plus_hits", "plus_minus_hits")),
+    "det-powers": (2, scan_det_power_products, tuple(f"shape{i}" for i in range(1, 7))),
+}
+
+
+def _nt_scan(args) -> None:
+    count, scan, labels = _SCANS[args.family]
+    found = scan(*_parse_ints(args.bounds, count, "bounds"))
+    for label, hits in zip(labels, found if len(labels) > 1 else [found]):
+        print(f"{label}=" + ";".join("(" + ",".join(map(str, hit)) + ")" for hit in hits))
+
+
+def _table_verify(args) -> int:
+    reports = corpus_mod.verify_corpus(corpus_mod.load_corpus(args.corpus))
     for report in reports:
-        fact = "n/a" if report.factorization_ok is None else _ok(report.factorization_ok)
-        print(
-            f"row={report.name} delta2={_ok(report.delta2_ok)} det={_ok(report.det_ok)} "
-            f"factorization={fact} classify={_ok(report.classify_ok)}"
-        )
-        passed += report.passed
+        flags = report.delta2_ok, report.det_ok, report.factorization_ok, report.classify_ok
+        d2, det, fact, cls = ("n/a" if f is None else _word(f, ("FAIL", "ok")) for f in flags)
+        print(f"row={report.name} delta2={d2} det={det} factorization={fact} classify={cls}")
+    passed = sum(report.passed for report in reports)
     print(f"verified={passed}/{len(reports)}")
     return 0 if passed == len(reports) else 1
 
 
-def _ok(flag: bool) -> str:
-    return "ok" if flag else "FAIL"
+# {(group, verb): leaf parser}, filled in by `build_parser` as it adds each leaf.
+_LEAVES: dict = {}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Building it costs about as much as a cheap command, so callers that run
+    `main(argv)` many times in one process share it.  Each leaf carries its
+    command as the `command` default and is recorded in `_LEAVES`.
+    """
+    parser = argparse.ArgumentParser(
+        prog="srknots",
+        description="Exact Alexander-polynomial toolkit for simple-ribbon knots.",
+    )
+    groups = parser.add_subparsers(dest="group", required=True)
+
+    def group(name: str, help: str):
+        verbs = groups.add_parser(name, help=help).add_subparsers(dest="verb", required=True)
+
+        def leaf(verb: str, command, help: str) -> argparse.ArgumentParser:
+            leaf_parser = _LEAVES[name, verb] = verbs.add_parser(verb, help=help)
+            leaf_parser.set_defaults(command=command)
+            return leaf_parser
+
+        return leaf
+
+    poly = group("poly", "Laurent polynomial operations")
+    p_eval = poly("eval", _poly_eval, "exact evaluation at an integer")
+    p_eval.add_argument("--poly", required=True)
+    p_eval.add_argument("--at", required=True, type=int)
+    p_norm = poly("normalize", _poly_normalize, "canonical normal form")
+    p_norm.add_argument("--poly", required=True)
+
+    sr = group("sr", "fusion factors, products, classification")
+    s_factor = sr("factor", _sr_factor, "normalized factor F(t;m,l,p)")
+    s_factor.add_argument("--m", required=True, type=int)
+    s_factor.add_argument("--l", required=True, type=int)
+    s_factor.add_argument("--p", required=True, type=int)
+    s_product = sr("product", _sr_product, "product of a factor list")
+    s_product.add_argument("--factors", required=True, metavar='"F(m,l,p)*..."')
+    sr("classify", _sr_classify, "verdict and certificates").add_argument("--poly", required=True)
+
+    knot = group("knot", "scalar invariants")
+    k_inv = knot("invariants", _knot_invariants, "delta2, determinant, symmetry")
+    k_inv.add_argument("--poly", required=True)
+
+    seifert = group("seifert", "fusion block determinants")
+    se_check = seifert("check", _seifert_check, "both determinants vs closed forms")
+    se_check.add_argument("--m", required=True, type=int)
+    se_check.add_argument("--l", required=True, type=int)
+    se_check.add_argument("--eps", required=True, metavar="+1,-1,...")
+    se_det = seifert("det", _seifert_det, "symbolic determinant of a matrix")
+    se_det.add_argument("--matrix", required=True, metavar='"1 - t, 0; t, 1"')
+    se_alex = seifert(
+        "alexander", _seifert_alexander, "normalized |M - t M^T| of an integer matrix"
+    )
+    se_alex.add_argument("--matrix", required=True, metavar='"-1,1;0,-1"')
+
+    nt = group("nt", "integer scans and pair classification")
+    n_pairs = nt("pairs", _nt_pairs, "band-count pair admissibility")
+    n_pairs.add_argument("--m", required=True, type=int)
+    n_pairs.add_argument("--n", required=True, type=int)
+    n_scan = nt("scan", _nt_scan, "bounded brute-force scans")
+    n_scan.add_argument("--family", required=True, choices=_SCANS)
+    n_scan.add_argument("--bounds", required=True, metavar="a,b[,c,d]")
+
+    table = group("table", "reference table verification")
+    t_verify = table("verify", _table_verify, "re-check every table row")
+    t_verify.add_argument("--corpus", default=None, help="path (default: bundled table)")
+
+    return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, with the work of the root and group parsers skipped.
+
+    When argv starts with a group and a verb, the nested parse hands the
+    rest to that verb's leaf parser, so parse it there directly.  Anything
+    else, arguments the leaf leaves unrecognized, or a call before
+    `build_parser` has filled `_LEAVES` takes the nested parse, so help,
+    usage and root-level errors stay the root parser's.
+    """
+    leaf = _LEAVES.get(tuple(argv[:2]))
+    if leaf is not None:
+        args, unrecognized = leaf.parse_known_args(argv[2:])
+        if not unrecognized:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _message(exc: Exception) -> str:
@@ -311,16 +267,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     Python's int <-> str cap stays as the caller set it; `run` raises it.
     """
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-    handlers = {
-        "poly": _cmd_poly,
-        "sr": _cmd_sr,
-        "knot": _cmd_knot,
-        "seifert": _cmd_seifert,
-        "nt": _cmd_nt,
-        "table": _cmd_table,
-    }
     try:
-        return handlers[args.group](args)
+        return args.command(args) or 0
     except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
         return 1

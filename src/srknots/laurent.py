@@ -23,6 +23,7 @@ are byte-stable and round-trip exactly through `parse`.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -366,7 +367,14 @@ def _tokenize(text: str):
                 break
             raise PolyParseError(f"unexpected character {stripped[0]!r}", pos)
         if m.lastgroup == "int":
-            tokens.append(("int", int(m.group("int")), m.start("int")))
+            try:
+                value = int(m.group("int"))
+            except ValueError:  # more digits than Python's int <-> str cap
+                raise PolyParseError(
+                    f"integer literal has more than {sys.get_int_max_str_digits()} digits",
+                    m.start("int"),
+                ) from None
+            tokens.append(("int", value, m.start("int")))
         elif m.lastgroup == "t":
             tokens.append(("t", "t", m.start("t")))
         else:

@@ -103,11 +103,7 @@ def scan_minus_match(A_max: int, m_max: int) -> list[tuple[int, int, int]]:
     """All (A, m, n) with A <= A_max, m_max >= m > n >= 1 and
     P(A^m - 1) = P(A^n - 1).
 
-    P(x) = P(y) is decided without factoring, as x | y^bitlen(x) and
-    y | x^bitlen(y): exact, since no prime occurs in x more than
-    bitlen(x) times.  Those powers run only on pairs whose signatures
-    gcd(v, product of the primes below 50) agree, which equal supports
-    force.  Every hit has m = 2, n = 1 and A of the form 2^j - 1.
+    Every hit has m = 2, n = 1 and A of the form 2^j - 1.
     """
     hits = []
     for A in range(2, A_max + 1):
@@ -126,12 +122,8 @@ def scan_base_match(
     """Hits of P(A^p + 1) = P(A + 1) for odd p > 1, and of
     P(A^q - 1) = P(A + 1) for even q, within the box.
 
-    P(x) = P(y) is decided without factoring, as x | y^bitlen(x) and
-    y | x^bitlen(y): exact, since no prime occurs in x more than
-    bitlen(x) times.  Those powers run only on pairs whose signatures
-    gcd(v, product of the primes below 50) agree, which equal supports
-    force.  The first list is exactly {(2, 3)}; the second holds
-    (A, 2) for A = 2^j + 1 only.
+    The first list is exactly {(2, 3)}; the second holds (A, 2) for
+    A = 2^j + 1 only.
     """
     odd_hits = []
     even_hits = []
@@ -155,13 +147,8 @@ def scan_plus_match(
     """Hits of P(A^m + 1) = P(A^n + 1) with m > n >= 1, and of
     P(A^m + 1) = P(A^n - 1) with m, n >= 1, within the box.
 
-    P(x) = P(y) is decided without factoring, as x | y^bitlen(x) and
-    y | x^bitlen(y): exact, since no prime occurs in x more than
-    bitlen(x) times.  Those powers run only on pairs whose signatures
-    gcd(v, product of the primes below 50) agree, which equal supports
-    force.  The first list is exactly {(2, 3, 1)}.  The second
-    consists of the families (3, 1, 1), (2, 3, 2), (3, 2, 4) and
-    (2^j + 1, 1, 2).
+    The first list is exactly {(2, 3, 1)}.  The second consists of the
+    families (3, 1, 1), (2, 3, 2), (3, 2, 4) and (2^j + 1, 1, 2).
     """
     plus_plus = []
     plus_minus = []

@@ -438,13 +438,27 @@ class TestDeterminism:
         assert first == second
 
     def test_one_process_matches_fresh_processes(self, capsys):
-        # main reuses one parser per process; a run must not leak into the next.
+        # main reuses one parser per process; a run must not leak into the
+        # next.  Every leaf runs, and nt scan once per family.
         argvs = [
             ["poly", "eval", "--poly", "1 - t + t^2", "--at", "2"],
             ["sr", "classify", "--poly", "2 - 5*t + 2*t^2"],
             ["seifert", "check", "--m", "2", "--l", "-1", "--eps", "1,-1"],
             ["sr", "factor", "--m", "2"],
             ["nt", "pairs", "--m", "4", "--n", "2"],
+            ["poly", "normalize", "--poly", "t^-1 - 1 + t"],
+            ["sr", "factor", "--m", "2", "--l", "0", "--p", "1"],
+            ["sr", "product", "--factors", "F(1,0,0)*F(2,1,1)"],
+            ["knot", "invariants", "--poly", "2 - 5*t + 2*t^2"],
+            ["seifert", "det", "--matrix", "1 - t, 0; t, 1 - t"],
+            ["seifert", "alexander", "--matrix=-1,1;0,-1"],
+            ["nt", "scan", "--family", "catalan", "--bounds", "10,10,5,5"],
+            ["nt", "scan", "--family", "minus", "--bounds", "8,4"],
+            ["nt", "scan", "--family", "base", "--bounds", "10,6"],
+            ["nt", "scan", "--family", "plus", "--bounds", "5,4"],
+            ["nt", "scan", "--family", "det-powers", "--bounds", "8,4"],
+            ["nt", "scan", "--family", "catalan", "--bounds", "10,10"],
+            ["table", "verify"],
         ]
         codes = []
         for argv in argvs:
@@ -456,7 +470,7 @@ class TestDeterminism:
             fresh = run_cli_process(*argv)
             assert (code, out) == (fresh.returncode, fresh.stdout), argv
             codes.append(code)
-        assert codes == [0, 0, 0, 2, 0]
+        assert codes == [0, 0, 0, 2, 0] + [0] * 11 + [1, 0]
 
 
 # argv lists for the dispatch test: help at every level, option forms,
@@ -520,7 +534,7 @@ class TestDispatch:
         assert got == outcome(capsys, argv)
 
     def test_named_leaf_skips_the_root_parser(self, capsys, monkeypatch):
-        cli._leaf_parsers()
+        cli.build_parser()
 
         def forbidden():
             raise AssertionError("nested parse")

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -288,6 +289,18 @@ class TestParse:
         with pytest.raises(PolyParseError) as err:
             parse(bad)
         assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text, position", [("1" * 5000, 0), ("t^" + "1" * 5000, 2)])
+    def test_literal_above_the_digit_cap_reports_position(self, text, position):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            with pytest.raises(PolyParseError) as err:
+                parse(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(err.value) == f"integer literal has more than 4300 digits (at position {position})"
         assert err.value.position == position
 
     @given(polys)
