@@ -13,7 +13,7 @@ is decided by comparing these normal forms (`equal_up_to_unit`).
 Text grammar accepted by `parse` and emitted by `str()`:
 
     poly := ['-'] term (('+' | '-') term)*
-    term := INT | INT '*' 't' ['^' ['-'] INT] | 't' ['^' ['-'] INT]
+    term := INT | INT '*' 't' ['^' ['+' | '-'] INT] | 't' ['^' ['+' | '-'] INT]
 
 Whitespace is insignificant.  The printer emits terms in ascending exponent
 order with explicit '*' and '^' and spaces around binary +/- ; printed forms

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Optional
 
 __all__ = [
@@ -167,6 +168,15 @@ def scan_plus_match(
     return plus_plus, plus_minus
 
 
+# The kind of a key (M, p, q) of `scan_det_power_products`, and the shape
+# index of each left kind + right kind that is one of its six shapes.
+_DET_SHAPES = {"--": 0, "++": 1, "+-": 2, "**": 3, "*-": 4, "*+": 5}
+
+
+def _kind(p: int, q: int) -> str:
+    return "*" if p and q else "+" if q else "-"
+
+
 def scan_det_power_products(M_max: int, exp_max: int):
     """Coincidences among products of powers of 2^M - 1 and 2^M + 1, M != N.
 
@@ -179,45 +189,29 @@ def scan_det_power_products(M_max: int, exp_max: int):
       4. (2^M-1)^p (2^M+1)^q = (2^N-1)^r (2^N+1)^s  -> (M, N, p, q, r, s), none
       5. (2^M-1)^p (2^M+1)^q = (2^N-1)^r            -> (M, N, p, q, r)
       6. (2^M-1)^p (2^M+1)^q = (2^N+1)^r            -> (M, N, p, q, r)
+
+    One index maps each value (2^M-1)^p (2^M+1)^q, p, q >= 0 not both 0, to
+    its keys (M, p, q).  A key's kind is "-" for q = 0, "+" for p = 0 and
+    "*" otherwise.  Each ordered pair of keys of one value with M != N whose
+    kinds name a shape is a hit, kept only for M > N when the kinds agree.
     """
     if M_max < 2 or exp_max < 1:
         raise ValueError("bounds too small")
-    minus_pow = {}
-    plus_pow = {}
+    keys: dict[int, list[tuple[int, int, int]]] = {}
     for M in range(1, M_max + 1):
         lo, hi = (1 << M) - 1, (1 << M) + 1
-        for e in range(1, exp_max + 1):
-            minus_pow[M, e] = lo**e
-            plus_pow[M, e] = hi**e
-
-    def collide(left: dict, right: dict, ordered: bool):
-        by_value: dict[int, list] = {}
-        for key, v in right.items():
-            by_value.setdefault(v, []).append(key)
-        hits = []
-        for key, v in left.items():
-            for other in by_value.get(v, ()):
-                if key[0] == other[0]:
-                    continue
-                if ordered and key[0] < other[0]:
-                    continue
-                hits.append((key[0], other[0]) + tuple(key[1:]) + tuple(other[1:]))
-        return sorted(hits)
-
-    shape1 = collide(minus_pow, minus_pow, ordered=True)
-    shape2 = collide(plus_pow, plus_pow, ordered=True)
-    shape3 = collide(plus_pow, minus_pow, ordered=False)
-
-    prod = {}
-    for M in range(1, M_max + 1):
-        for p in range(1, exp_max + 1):
-            for q in range(1, exp_max + 1):
-                prod[M, p, q] = minus_pow[M, p] * plus_pow[M, q]
-
-    shape4 = collide(prod, prod, ordered=True)
-    shape5 = collide(prod, minus_pow, ordered=False)
-    shape6 = collide(prod, plus_pow, ordered=False)
-    return shape1, shape2, shape3, shape4, shape5, shape6
+        for p in range(exp_max + 1):
+            for q in range(exp_max + 1):
+                if p or q:
+                    keys.setdefault(lo**p * hi**q, []).append((M, p, q))
+    shapes: tuple[list, ...] = ([], [], [], [], [], [])
+    for same in keys.values():
+        for (M, p, q), (N, r, s) in permutations(same, 2):
+            left, right = _kind(p, q), _kind(r, s)
+            shape = _DET_SHAPES.get(left + right)
+            if M != N and shape is not None and (left != right or M > N):
+                shapes[shape].append((M, N) + tuple(e for e in (p, q, r, s) if e))
+    return tuple(sorted(hits) for hits in shapes)
 
 
 @dataclass(frozen=True)

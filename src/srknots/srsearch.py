@@ -4,7 +4,9 @@
 unit-equivalent to the input (with trivial base).  Exponent spans are
 additive under multiplication and every usable factor has span >= 2, so
 enumerating all parameters with factor span at most the input's span is a
-complete candidate set and the search is a finite exact-division peel.
+complete candidate set.  Every factor of a solution divides the input, so
+the search screens the candidates once, by their values at t = -1 and t = 2
+and then by exact division, and peels by the input's divisors alone.
 Many triples share one factor polynomial (the mirror identity (m,l,p) ~
 (m,-l,m-p) among others), so the peel runs over distinct polynomials and
 expands each solution into its alias certificates at the end.
@@ -43,11 +45,11 @@ __all__ = [
 # The only factor polynomial with delta2 = 1 besides units.
 DELTA2_ONE_QUARTIC = parse("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
 
-# Widest target `decompose` searches.  The candidate table itself is cheap
-# (span 48 in 0.1 s and 64 in 0.16 s on a 2-core x86-64 VM, Python 3.11),
-# but its parameter triples grow about as the cube of the span, and with them
-# the alias expansion of every certificate and the peel, so wider inputs are
-# refused rather than searched for minutes.
+# Widest target `decompose` searches.  The candidate table is cheap (span 64
+# in 0.16 s on a 2-core x86-64 VM, Python 3.11) and is screened once down to
+# the target's divisors, but its parameter triples grow about as the cube of
+# the span, and with them the alias expansion and check of every certificate,
+# so wider inputs are refused rather than searched for minutes.
 MAX_SEARCH_SPAN = 64
 
 
@@ -80,7 +82,6 @@ class SRClassification:
 class _Candidate:
     aliases: Tuple[SRParams, ...]  # sorted triples whose factor is poly
     poly: LaurentPoly  # normalized factor polynomial
-    span: int
     at_minus1: int     # |poly(-1)|, always >= 1
     at_2: int
 
@@ -105,19 +106,13 @@ def _layer_keys(h: int) -> list[tuple[int, int, int]]:
 @lru_cache(maxsize=MAX_SEARCH_SPAN // 2)
 def _layer(h: int) -> tuple[_Candidate, ...]:
     """The candidates of span exactly 2h, sorted by aliases."""
-    groups: dict[LaurentPoly, list[tuple[int, int, int]]] = {}
+    groups: dict[LaurentPoly, list[SRParams]] = {}
     for m, s, par in _layer_keys(h):
         f = F_factor(SRParams(m, s - par, par)).poly
-        groups.setdefault(f, []).extend((m, s - p, p) for p in range(par, m + 1, 2))
+        groups.setdefault(f, []).extend(SRParams(m, s - p, p) for p in range(par, m + 1, 2))
     found = [
-        _Candidate(
-            tuple(SRParams(*t) for t in sorted(triples)),
-            f,
-            f.span,
-            abs(eval_int(f, -1)),
-            eval_int(f, 2),
-        )
-        for f, triples in groups.items()
+        _Candidate(tuple(sorted(prms)), f, abs(eval_int(f, -1)), eval_int(f, 2))
+        for f, prms in groups.items()
     ]
     found.sort(key=lambda c: c.aliases)
     return tuple(found)
@@ -145,51 +140,42 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
     """All multiset-distinct fusion decompositions of dp, canonically ordered.
 
     An empty list is a proof that no decomposition exists: the candidate set
-    is complete for the span budget.  The peel runs over distinct factor
-    polynomials; each solution is then expanded into one certificate per
-    choice of aliases, so distinct parameter triples with the same factor
-    polynomial are reported as distinct certificates.  Targets wider than
-    MAX_SEARCH_SPAN raise ValueError instead of building a huge table.
+    is complete for the span budget.  The peel divides only by the target's
+    divisors: the candidates whose values at t = -1 and t = 2 divide the
+    target's, evaluated once, and which divide it exactly.  It runs over
+    distinct factor polynomials; each solution is expanded into one
+    certificate per choice of aliases, so distinct parameter triples with the
+    same factor polynomial are reported as distinct certificates.  Targets
+    wider than MAX_SEARCH_SPAN raise ValueError instead of building a huge
+    table.
     """
     target = dp.poly
-    cands = _candidates(target.span)
+    det, at_2 = abs(eval_int(target, -1)), eval_int(target, 2)
+    divisors = [
+        c
+        for c in _candidates(target.span)
+        if det % c.at_minus1 == 0
+        and (at_2 % c.at_2 == 0 if c.at_2 else at_2 == 0)
+        and divide_exact(target, c.poly) is not None
+    ]
     results: list[SRDecomposition] = []
 
-    def peel(cur: LaurentPoly, cur_det: int, cur_at2: int, start: int, acc: list[int]):
+    def peel(cur: LaurentPoly, start: int, acc: list[int]):
         if cur == 1:
             picks = (
-                combinations_with_replacement(cands[idx].aliases, k)
+                combinations_with_replacement(divisors[idx].aliases, k)
                 for idx, k in Counter(acc).items()
             )
             results.extend(SRDecomposition(tuple(chain(*choice))) for choice in product(*picks))
             return
-        span = cur.span
-        for idx in range(start, len(cands)):
-            cand = cands[idx]
-            if cand.span > span:
-                break
-            # Necessary divisibility at t = -1 and t = 2 prunes cheaply.
-            if cur_det % cand.at_minus1:
-                continue
-            if cand.at_2 == 0:
-                if cur_at2 != 0:
-                    continue
-            elif cur_at2 % cand.at_2:
-                continue
-            quotient = divide_exact(cur, cand.poly)
-            if quotient is None:
-                continue
-            acc.append(idx)
-            peel(
-                quotient,
-                abs(eval_int(quotient, -1)),
-                eval_int(quotient, 2),
-                idx,
-                acc,
-            )
-            acc.pop()
+        for idx in range(start, len(divisors)):
+            quotient = divide_exact(cur, divisors[idx].poly)
+            if quotient is not None:
+                acc.append(idx)
+                peel(quotient, idx, acc)
+                acc.pop()
 
-    peel(target, abs(eval_int(target, -1)), eval_int(target, 2), 0, [])
+    peel(target, 0, [])
     results.sort(key=lambda d: d.factors)
     # Both sides are normal forms, so unit equivalence is plain equality.
     for dec in results:

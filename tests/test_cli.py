@@ -1,12 +1,9 @@
 import contextlib
-import os
 import random
-import subprocess
 import sys
 
 import pytest
 
-import srknots
 from srknots import cli
 from srknots.cli import main
 from srknots.laurent import LaurentPoly, normalize, parse
@@ -19,17 +16,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_cli_process(*argv, entry=("-c", "from srknots.cli import run; run()"), **kwargs):
-    """The CLI in a fresh interpreter that imports this checkout's srknots."""
-    src = os.path.dirname(os.path.dirname(srknots.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *entry, *argv],
-        env=env, capture_output=True, text=True, **kwargs,
-    )
 
 
 @contextlib.contextmanager
@@ -60,7 +46,7 @@ class TestPolyCommands:
         code, _, err = run(capsys, "poly", "eval", "--poly", "2 +* t", "--at", "1")
         assert code == 1 and "error:" in err
 
-    def test_values_and_literals_above_int_string_cap(self):
+    def test_values_and_literals_above_int_string_cap(self, fresh_process):
         with uncapped_int_strings():
             big = str(7**6000)
             power = str(2**20000 - 1)
@@ -69,32 +55,32 @@ class TestPolyCommands:
             (("--poly", f"{big}*t", "--at", "1"), big),
             (("--poly", "t", "--at", big), big),
         ]:
-            done = run_cli_process("poly", "eval", *argv, timeout=60)
+            done = fresh_process("poly", "eval", *argv, timeout=60)
             assert (done.returncode, done.stdout) == (0, want + "\n"), done.stderr
 
-    def test_values_above_the_cli_digit_cap_exit_1_promptly(self):
+    def test_values_above_the_cli_digit_cap_exit_1_promptly(self, fresh_process):
         # 2^10^7 and this delta2 have over 3,000,000 digits; printing them
         # would take minutes, so the command refuses them at once.
         for argv in [
             ("poly", "eval", "--poly", "t^10000000", "--at", "2"),
             ("knot", "invariants", "--poly", "1 - t^5000000 + t^10000000"),
         ]:
-            done = run_cli_process(*argv, timeout=30)
+            done = fresh_process(*argv, timeout=30)
             assert done.returncode == 1 and done.stdout == ""
             assert done.stderr.startswith("error:")
             assert "set_int_max_str_digits" not in done.stderr
 
-    def test_eval_above_the_power_budget_exits_1_promptly(self):
+    def test_eval_above_the_power_budget_exits_1_promptly(self, fresh_process):
         # 3^100000000 has 158 million bits; the command refuses it before
         # forming any power instead of running for minutes.
-        done = run_cli_process("poly", "eval", "--poly", "t^100000000", "--at", "3", timeout=10)
+        done = fresh_process("poly", "eval", "--poly", "t^100000000", "--at", "3", timeout=10)
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr.startswith("error:") and "budget of 5,000,000 bits" in done.stderr
 
-    def test_eval_with_cancelling_large_powers(self):
+    def test_eval_with_cancelling_large_powers(self, fresh_process):
         # 3^900000 - 3 * 3^899999 forms about 2.85 million bits of powers
         # and is 0: the budget counts work, not the printed value.
-        done = run_cli_process("poly", "eval", "--poly", "t^900000 - 3*t^899999", "--at", "3",
+        done = fresh_process("poly", "eval", "--poly", "t^900000 - 3*t^899999", "--at", "3",
                                timeout=30)
         assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
@@ -102,14 +88,14 @@ class TestPolyCommands:
         code, _, err = run(capsys, "poly", "normalize", "--poly", "t - t")
         assert code == 1 and "error:" in err
 
-    def test_out_of_memory_is_a_clean_error(self):
+    def test_out_of_memory_is_a_clean_error(self, fresh_process):
         resource = pytest.importorskip("resource")
 
         def limit_memory():
             # 256 MiB of address space: 2^(10^11) cannot be built within it.
             resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
 
-        done = run_cli_process(
+        done = fresh_process(
             "poly", "eval", "--poly", "t^100000000000", "--at", "2",
             timeout=60, preexec_fn=limit_memory,
         )
@@ -120,7 +106,7 @@ class TestPolyCommands:
         # allocates, delta2 by its bit budget and `seifert check` by its
         # block size budget.  The minus scan's values A^m - 1 for m up to
         # 10^8 still run out of memory, which keeps the handler covered.
-        done = run_cli_process(
+        done = fresh_process(
             "knot", "invariants", "--poly", "t^100000000000 + t - 2",
             timeout=60, preexec_fn=limit_memory,
         )
@@ -129,14 +115,14 @@ class TestPolyCommands:
             "error: dp(2) may hold 100,000,000,003 bits, "
             "above the delta2 budget of 250,000 bits\n"
         )
-        done = run_cli_process(
+        done = fresh_process(
             "seifert", "check", "--m", "1", "--l", "100000000", "--eps", "+1",
             timeout=60, preexec_fn=limit_memory,
         )
         assert (done.returncode, done.stderr) == (
             1, "error: fusion blocks of size 100,000,001 are above the budget of 256\n"
         )
-        done = run_cli_process(
+        done = fresh_process(
             "nt", "scan", "--family", "minus", "--bounds", "2,100000000",
             timeout=60, preexec_fn=limit_memory,
         )
@@ -168,9 +154,9 @@ class TestSrCommands:
         assert out.startswith("POLY_COMPATIBLE certificates=")
         assert "F(2,0,0)" in out
 
-    def test_factor_with_huge_linking_number_is_prompt(self):
+    def test_factor_with_huge_linking_number_is_prompt(self, fresh_process):
         # F(1, 10^9, 0) has seven terms; its cost must not grow with |l|.
-        done = run_cli_process("sr", "factor", "--m", "1", "--l", "1000000000", "--p", "0",
+        done = fresh_process("sr", "factor", "--m", "1", "--l", "1000000000", "--p", "0",
                                timeout=30)
         f = f_factor(SRParams(1, 10**9, 0))
         assert done.returncode == 0
@@ -189,22 +175,22 @@ class TestSrCommands:
         assert (code, out) == (1, "")
         assert err == f"error: 100,000,000 bands are above the budget of {MAX_BANDS}\n"
 
-    def test_spread_product_above_the_term_budget_exits_1_promptly(self):
+    def test_spread_product_above_the_term_budget_exits_1_promptly(self, fresh_process):
         # Each factor has 7 terms and the linking numbers share no exponent
         # range, so the term count grows about 3.4x per factor: ten factors
         # gave 846,369 terms in 3.3 s before the budget.
         factors = "*".join(f"F(1,{10 ** (i + 2)},0)" for i in range(12))
-        done = run_cli_process("sr", "product", "--factors", factors, timeout=10)
+        done = fresh_process("sr", "product", "--factors", factors, timeout=10)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == (
             f"error: the product may hold {7**12:,} terms, above the budget of "
             f"{MAX_PRODUCT_TERMS:,} terms\n"
         )
 
-    def test_classify_many_pm_divisors_is_prompt(self):
+    def test_classify_many_pm_divisors_is_prompt(self, fresh_process):
         # delta2 = 11 (2^240 - 1)^2 has dozens of 2^s +- 1 divisors; a
         # depth-first search over them took 24 s.
-        done = run_cli_process(
+        done = fresh_process(
             "sr", "classify", "--poly",
             "1 + 3*t + t^2 - 2*t^240 - 6*t^241 - 2*t^242 + t^480 + 3*t^481 + t^482",
             timeout=10,
@@ -218,20 +204,20 @@ class TestSrCommands:
         assert code == 1 and out == ""
         assert err.startswith("error:") and str(MAX_SEARCH_SPAN) in err
 
-    def test_classify_above_the_delta2_budget_exits_1_promptly(self):
+    def test_classify_above_the_delta2_budget_exits_1_promptly(self, fresh_process):
         # delta2 would have 4 million bits; the 2^s +- 1 test on it ran for
         # over a minute before the bit budget.
-        done = run_cli_process("sr", "classify", "--poly", "2 - 5*t^2000000 + 2*t^4000000",
+        done = fresh_process("sr", "classify", "--poly", "2 - 5*t^2000000 + 2*t^4000000",
                                timeout=10)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == (
             "error: dp(2) may hold 4,000,004 bits, above the delta2 budget of 250,000 bits\n"
         )
 
-    def test_classify_wide_trinomial_is_prompt(self):
+    def test_classify_wide_trinomial_is_prompt(self, fresh_process):
         # delta2 = 2^40000 - 2^20000 + 1 has 40,001 bits; a full remainder
         # for every candidate 2^s +- 1 took about 45 s.
-        done = run_cli_process("sr", "classify", "--poly", "1 - t^20000 + t^40000", timeout=30)
+        done = fresh_process("sr", "classify", "--poly", "1 - t^20000 + t^40000", timeout=30)
         assert done.returncode == 0
         assert done.stdout == "NOT_SR obstruction=DELTA2_FACTOR\n"
 
@@ -241,9 +227,9 @@ class TestKnotCommand:
         code, out, _ = run(capsys, "knot", "invariants", "--poly", "2 - 5*t + 2*t^2")
         assert code == 0 and out == "delta2=0 det=9 symmetric=true\n"
 
-    def test_delta2_above_int_string_cap(self):
+    def test_delta2_above_int_string_cap(self, fresh_process):
         # 1 - 2^10000 + 2^20000 is odd, has 6,021 digits and is its own delta2.
-        done = run_cli_process("knot", "invariants", "--poly", "1 - t^10000 + t^20000", timeout=60)
+        done = fresh_process("knot", "invariants", "--poly", "1 - t^10000 + t^20000", timeout=60)
         with uncapped_int_strings():
             want = f"delta2={1 - 2**10000 + 2**20000} det=1 symmetric=true\n"
         assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
@@ -341,8 +327,8 @@ class TestNtCommands:
         assert lines[0] == "plus_plus_hits=(2,3,1)"
         assert lines[1].startswith("plus_minus_hits=(2,1,2);(2,3,2);(3,1,1)")
 
-    def test_wide_plus_scan_is_prompt(self):
-        done = run_cli_process("nt", "scan", "--family", "plus", "--bounds", "200,16", timeout=10)
+    def test_wide_plus_scan_is_prompt(self, fresh_process):
+        done = fresh_process("nt", "scan", "--family", "plus", "--bounds", "200,16", timeout=10)
         assert done.returncode == 0, done.stderr
         plus_plus, plus_minus = done.stdout.splitlines()
         assert plus_plus == "plus_plus_hits=(2,3,1)"
@@ -351,8 +337,8 @@ class TestNtCommands:
             f"({A},{m},{n})" for A, m, n in sorted(families)
         )
 
-    def test_wide_minus_scan_is_prompt(self):
-        done = run_cli_process("nt", "scan", "--family", "minus", "--bounds", "200,16", timeout=10)
+    def test_wide_minus_scan_is_prompt(self, fresh_process):
+        done = fresh_process("nt", "scan", "--family", "minus", "--bounds", "200,16", timeout=10)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "hits=" + ";".join(f"({2**j - 1},2,1)" for j in range(2, 8)) + "\n"
 
@@ -400,13 +386,13 @@ class TestTableCommand:
 
 
 class TestUsageErrors:
-    def test_python_m_runs_the_cli(self):
+    def test_python_m_runs_the_cli(self, fresh_process):
         for argv, code, out in [
             (("knot", "invariants", "--poly", "2 - 5*t + 2*t^2"), 0, "delta2=0 det=9 symmetric=true\n"),
             (("poly", "eval", "--poly", "2 +* t", "--at", "1"), 1, ""),
             (("frobnicate",), 2, ""),
         ]:
-            done = run_cli_process(*argv, entry=("-m", "srknots.cli"), timeout=60)
+            done = fresh_process(*argv, entry=("-m", "srknots.cli"), timeout=60)
             assert (done.returncode, done.stdout) == (code, out), done.stderr
 
     def test_unknown_group_exits_2(self, capsys):
@@ -437,7 +423,7 @@ class TestDeterminism:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
-    def test_one_process_matches_fresh_processes(self, capsys):
+    def test_one_process_matches_fresh_processes(self, capsys, fresh_process):
         # main reuses one parser per process; a run must not leak into the
         # next.  Every leaf runs, and nt scan once per family.
         argvs = [
@@ -467,7 +453,7 @@ class TestDeterminism:
             except SystemExit as exc:
                 code = exc.code
             out = capsys.readouterr().out
-            fresh = run_cli_process(*argv)
+            fresh = fresh_process(*argv)
             assert (code, out) == (fresh.returncode, fresh.stdout), argv
             codes.append(code)
         assert codes == [0, 0, 0, 2, 0] + [0] * 11 + [1, 0]

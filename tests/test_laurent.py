@@ -259,6 +259,10 @@ class TestParse:
     def test_negative_exponent(self):
         assert parse("t^-1 + t").terms == {-1: 1, 1: 1}
 
+    def test_plus_signed_exponent(self):
+        assert parse("t^+2").terms == {2: 1}
+        assert parse("3*t^ + 2").terms == {2: 3}
+
     def test_cancellation_during_accumulation(self):
         assert parse("3*t^2 - 3*t^2").is_zero
 

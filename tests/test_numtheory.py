@@ -260,7 +260,56 @@ class TestPlusMatchScan:
         assert set(plus_minus) == expected
 
 
+def reference_det_power_products(M_max, exp_max):
+    """The six shapes from separate power tables and one collision pass per shape."""
+    minus_pow = {}
+    plus_pow = {}
+    for M in range(1, M_max + 1):
+        lo, hi = (1 << M) - 1, (1 << M) + 1
+        for e in range(1, exp_max + 1):
+            minus_pow[M, e] = lo**e
+            plus_pow[M, e] = hi**e
+
+    def collide(left, right, ordered):
+        by_value = {}
+        for key, v in right.items():
+            by_value.setdefault(v, []).append(key)
+        hits = []
+        for key, v in left.items():
+            for other in by_value.get(v, ()):
+                if key[0] == other[0]:
+                    continue
+                if ordered and key[0] < other[0]:
+                    continue
+                hits.append((key[0], other[0]) + tuple(key[1:]) + tuple(other[1:]))
+        return sorted(hits)
+
+    prod = {}
+    for M in range(1, M_max + 1):
+        for p in range(1, exp_max + 1):
+            for q in range(1, exp_max + 1):
+                prod[M, p, q] = minus_pow[M, p] * plus_pow[M, q]
+    return (
+        collide(minus_pow, minus_pow, ordered=True),
+        collide(plus_pow, plus_pow, ordered=True),
+        collide(plus_pow, minus_pow, ordered=False),
+        collide(prod, prod, ordered=True),
+        collide(prod, minus_pow, ordered=False),
+        collide(prod, plus_pow, ordered=False),
+    )
+
+
 class TestDetPowerProducts:
+    def test_matches_the_per_shape_collisions(self):
+        # The acceptance box, the paper_grid boxes at seed 61, two tiny
+        # boxes and seeded ones.  M = 1 is in every box: 2^1 - 1 = 1, so
+        # each (1, p, q) product is 3^q whatever p is.
+        rng = random.Random(19)
+        boxes = [(20, 8), (17, 9), (2, 1), (3, 3)]
+        boxes += [(rng.randint(2, 24), rng.randint(1, 10)) for _ in range(30)]
+        for box in boxes:
+            assert scan_det_power_products(*box) == reference_det_power_products(*box), box
+
     def test_small_box(self):
         s1, s2, s3, s4, s5, s6 = scan_det_power_products(8, 4)
         assert s1 == [] and s4 == []

@@ -1,14 +1,10 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 from math import comb, isqrt
 import tracemalloc
 
 import pytest
 
-import srknots
 from srknots import seifert
 from srknots.cli import main
 from srknots.laurent import LaurentPoly, equal_up_to_unit, parse
@@ -516,30 +512,22 @@ class TestOneEliminationPerFusion:
         func(FusionSigns((1, -1), 2))
         assert calls == {"build_blocks": 1, "_pencil_det": 1}
 
-    def test_long_linking_check_is_fast_in_a_fresh_process(self):
+    def test_long_linking_check_is_fast_in_a_fresh_process(self, fresh_process):
         # The Q side of l > 0 is the slow elimination; it is never run.
-        done = check_in_fresh_process(200)
+        done = fresh_process(*check_argv(200), timeout=5)
         assert done.returncode == 0, done.stderr
         assert done.stdout.endswith("agree=true\n")
 
-    def test_negative_linking_check_is_fast_in_a_fresh_process(self):
+    def test_negative_linking_check_is_fast_in_a_fresh_process(self, fresh_process):
         # With every row updated at every step, the P side took 55 s here.
-        done = check_in_fresh_process(-200)
+        done = fresh_process(*check_argv(-200), timeout=5)
         assert done.returncode == 0, done.stderr
         assert done.stdout.endswith("agree=true\n")
 
 
-def check_in_fresh_process(l):
-    """`seifert check --m 1 --l <l> --eps +1` in a new interpreter, 5 s at most."""
-    src = os.path.dirname(os.path.dirname(srknots.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    flags = ["-O"] * sys.flags.optimize
-    return subprocess.run(
-        [sys.executable, *flags, "-c", "from srknots.cli import run; run()",
-         "seifert", "check", "--m", "1", "--l", str(l), "--eps", "+1"],
-        env=env, capture_output=True, text=True, timeout=5,
-    )
+def check_argv(l):
+    """`seifert check --m 1 --l <l> --eps +1`."""
+    return ("seifert", "check", "--m", "1", "--l", str(l), "--eps", "+1")
 
 
 class TestBudgets:

@@ -1,13 +1,9 @@
 import functools
 import itertools
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import srknots
 from srknots import srsearch
 from srknots.laurent import LaurentPoly, divide_exact, eval_int, normalize, parse
 from srknots.srpoly import SRDecomposition, SRParams, F_factor, f_factor, factor_span, product_formula
@@ -218,10 +214,10 @@ def reference_candidates(max_span):
                 if 2 <= factor_span(prm) <= max_span:
                     groups.setdefault(product_factor(prm), []).append(prm)
     found = [
-        srsearch._Candidate(tuple(sorted(prms)), f, f.span, abs(eval_int(f, -1)), eval_int(f, 2))
+        srsearch._Candidate(tuple(sorted(prms)), f, abs(eval_int(f, -1)), eval_int(f, 2))
         for f, prms in groups.items()
     ]
-    found.sort(key=lambda c: (c.span, c.aliases))
+    found.sort(key=lambda c: (c.poly.span, c.aliases))
     return tuple(found)
 
 
@@ -229,7 +225,7 @@ class TestCandidateTable:
     def test_matches_the_triple_loop_at_every_span(self):
         reference = reference_candidates(48)
         for max_span in range(49):
-            expected = tuple(c for c in reference if c.span <= max_span)
+            expected = tuple(c for c in reference if c.poly.span <= max_span)
             assert srsearch._candidates(max_span) == expected, max_span
 
     def test_layer_keys_match_brute_force(self):
@@ -253,6 +249,18 @@ class TestCandidateTable:
         assert sum(len(c.aliases) for c in table) == 24464
 
 
+def counted_divisions(monkeypatch):
+    """The divisor of each `divide_exact` call that `srsearch` makes from now on."""
+    calls = []
+
+    def counting(a, b):
+        calls.append(b)
+        return divide_exact(a, b)
+
+    monkeypatch.setattr(srsearch, "divide_exact", counting)
+    return calls
+
+
 class TestPolynomialPeel:
     def test_matches_triple_by_triple_search(self):
         rng = random.Random(4)
@@ -268,24 +276,31 @@ class TestPolynomialPeel:
         for cand in table:
             assert list(cand.aliases) == sorted(cand.aliases)
             assert all(product_factor(prm) == cand.poly for prm in cand.aliases)
-        spans = [c.span for c in table]
+        spans = [c.poly.span for c in table]
         assert spans == sorted(spans)
         assert sum(len(c.aliases) for c in table) == 1534
 
     def test_aliases_do_not_repeat_divisions(self, monkeypatch):
         # Peeling each parameter triple on its own takes 1,784 divisions here;
-        # peeling each distinct factor polynomial once takes 87.
-        calls = []
-
-        def counting(a, b):
-            calls.append(b)
-            return divide_exact(a, b)
-
-        monkeypatch.setattr(srsearch, "divide_exact", counting)
+        # peeling each distinct factor polynomial once takes 78.
+        calls = counted_divisions(monkeypatch)
         dec = SRDecomposition((SRParams(1, -1, 1), SRParams(3, 1, 2), SRParams(3, 2, 1)))
         target = product_formula(dec)
         assert decompose(target)
         assert len(calls) <= 100
+
+    def test_peel_divides_only_by_the_targets_divisors(self, monkeypatch):
+        # Screening every node's quotient against the whole candidate table
+        # took 587 divisions here; screening the table once against the
+        # target and peeling by its divisors takes 200.
+        calls = counted_divisions(monkeypatch)
+        dec = SRDecomposition(
+            (SRParams(1, -6, 1), SRParams(1, 4, 0), SRParams(3, -5, 0), SRParams(4, -4, 4))
+        )
+        target = product_formula(dec)
+        assert target.poly.span == 42
+        assert len(decompose(target)) == 288
+        assert len(calls) <= 250
 
 
 class TestCertificateCheck:
@@ -294,7 +309,7 @@ class TestCertificateCheck:
         with pytest.raises(ArithmeticError):
             decompose(NF("2 - 5*t + 2*t^2"))
 
-    def test_check_runs_under_python_O(self):
+    def test_check_runs_under_python_O(self, fresh_process):
         script = "\n".join(
             [
                 "import sys",
@@ -310,11 +325,8 @@ class TestCertificateCheck:
                 "sys.exit(1)",
             ]
         )
-        src = os.path.dirname(os.path.dirname(srknots.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
-        assert done.returncode == 0
+        done = fresh_process(entry=("-c", script), optimize=1, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 def test_caches_are_bounded():
