@@ -4,7 +4,8 @@ Output is plain text, machine-parseable, one result per line; identical
 arguments always produce byte-identical stdout.  Exit codes: 0 success,
 1 computational failure (bad polynomial, failed verification), 2 usage error.
 
-Dispatch is one step: each leaf parser (`srknots <group> <verb>`) carries
+One table, `_COMMANDS`, describes every leaf (`srknots <group> <verb>`).
+Dispatch is one step: the leaf parser that argv names, built alone, carries
 its command as the `command` default, and `main` runs `args.command(args)`.
 A command prints its result and returns None, or an exit code other than 0.
 """
@@ -162,93 +163,119 @@ def _table_verify(args) -> int:
     return 0 if passed == len(reports) else 1
 
 
-# {(group, verb): leaf parser}, filled in by `build_parser` as it adds each leaf.
-_LEAVES: dict = {}
+# Each group's help in `srknots -h`.
+_GROUPS = {
+    "poly": "Laurent polynomial operations",
+    "sr": "fusion factors, products, classification",
+    "knot": "scalar invariants",
+    "seifert": "fusion block determinants",
+    "nt": "integer scans and pair classification",
+    "table": "reference table verification",
+}
+
+
+def _required(flag: str, **options) -> tuple:
+    return flag, {"required": True, **options}
+
+
+_POLY = (_required("--poly"),)
+
+
+def _ints(*flags: str) -> tuple:
+    return tuple(_required(flag, type=int) for flag in flags)
+
+
+# The CLI: (group, verb) -> (command, help, the leaf's (flag, options) arguments).
+_COMMANDS = {
+    ("poly", "eval"): (_poly_eval, "exact evaluation at an integer", _POLY + _ints("--at")),
+    ("poly", "normalize"): (_poly_normalize, "canonical normal form", _POLY),
+    ("sr", "factor"): (_sr_factor, "normalized factor F(t;m,l,p)", _ints("--m", "--l", "--p")),
+    ("sr", "product"): (
+        _sr_product, "product of a factor list", (_required("--factors", metavar='"F(m,l,p)*..."'),)
+    ),
+    ("sr", "classify"): (_sr_classify, "verdict and certificates", _POLY),
+    ("knot", "invariants"): (_knot_invariants, "delta2, determinant, symmetry", _POLY),
+    ("seifert", "check"): (
+        _seifert_check,
+        "both determinants vs closed forms",
+        _ints("--m", "--l") + (_required("--eps", metavar="+1,-1,..."),),
+    ),
+    ("seifert", "det"): (
+        _seifert_det,
+        "symbolic determinant of a matrix",
+        (_required("--matrix", metavar='"1 - t, 0; t, 1"'),),
+    ),
+    ("seifert", "alexander"): (
+        _seifert_alexander,
+        "normalized |M - t M^T| of an integer matrix",
+        (_required("--matrix", metavar='"-1,1;0,-1"'),),
+    ),
+    ("nt", "pairs"): (_nt_pairs, "band-count pair admissibility", _ints("--m", "--n")),
+    ("nt", "scan"): (
+        _nt_scan,
+        "bounded brute-force scans",
+        (_required("--family", choices=_SCANS), _required("--bounds", metavar="a,b[,c,d]")),
+    ),
+    ("table", "verify"): (
+        _table_verify,
+        "re-check every table row",
+        (("--corpus", {"default": None, "help": "path (default: bundled table)"}),),
+    ),
+}
+
+
+def _fill(leaf: argparse.ArgumentParser, key: tuple) -> argparse.ArgumentParser:
+    """Give a leaf parser the command and arguments of `_COMMANDS[key]`."""
+    command, _, arguments = _COMMANDS[key]
+    leaf.set_defaults(command=command)
+    for flag, options in arguments:
+        leaf.add_argument(flag, **options)
+    return leaf
+
+
+@functools.cache
+def _leaf_parser(key: tuple) -> argparse.ArgumentParser:
+    """The parser of one leaf, `srknots <group> <verb>`, built alone.
+
+    It is the leaf that `build_parser` nests under its group, so parsing the
+    rest of argv with it gives what the nested parse gives.
+    """
+    return _fill(argparse.ArgumentParser(prog="srknots " + " ".join(key)), key)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use.
+    """The whole nested parser, from `_GROUPS` and `_COMMANDS`, built on first use.
 
-    Building it costs about as much as a cheap command, so callers that run
-    `main(argv)` many times in one process share it.  Each leaf carries its
-    command as the `command` default and is recorded in `_LEAVES`.
+    Only help, usage, root-level errors and argv that a leaf leaves
+    arguments of need it (see `_parse_args`); building its 19 parsers costs
+    several times what one leaf does.
     """
     parser = argparse.ArgumentParser(
         prog="srknots",
         description="Exact Alexander-polynomial toolkit for simple-ribbon knots.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    def group(name: str, help: str):
-        verbs = groups.add_parser(name, help=help).add_subparsers(dest="verb", required=True)
-
-        def leaf(verb: str, command, help: str) -> argparse.ArgumentParser:
-            leaf_parser = _LEAVES[name, verb] = verbs.add_parser(verb, help=help)
-            leaf_parser.set_defaults(command=command)
-            return leaf_parser
-
-        return leaf
-
-    poly = group("poly", "Laurent polynomial operations")
-    p_eval = poly("eval", _poly_eval, "exact evaluation at an integer")
-    p_eval.add_argument("--poly", required=True)
-    p_eval.add_argument("--at", required=True, type=int)
-    p_norm = poly("normalize", _poly_normalize, "canonical normal form")
-    p_norm.add_argument("--poly", required=True)
-
-    sr = group("sr", "fusion factors, products, classification")
-    s_factor = sr("factor", _sr_factor, "normalized factor F(t;m,l,p)")
-    s_factor.add_argument("--m", required=True, type=int)
-    s_factor.add_argument("--l", required=True, type=int)
-    s_factor.add_argument("--p", required=True, type=int)
-    s_product = sr("product", _sr_product, "product of a factor list")
-    s_product.add_argument("--factors", required=True, metavar='"F(m,l,p)*..."')
-    sr("classify", _sr_classify, "verdict and certificates").add_argument("--poly", required=True)
-
-    knot = group("knot", "scalar invariants")
-    k_inv = knot("invariants", _knot_invariants, "delta2, determinant, symmetry")
-    k_inv.add_argument("--poly", required=True)
-
-    seifert = group("seifert", "fusion block determinants")
-    se_check = seifert("check", _seifert_check, "both determinants vs closed forms")
-    se_check.add_argument("--m", required=True, type=int)
-    se_check.add_argument("--l", required=True, type=int)
-    se_check.add_argument("--eps", required=True, metavar="+1,-1,...")
-    se_det = seifert("det", _seifert_det, "symbolic determinant of a matrix")
-    se_det.add_argument("--matrix", required=True, metavar='"1 - t, 0; t, 1"')
-    se_alex = seifert(
-        "alexander", _seifert_alexander, "normalized |M - t M^T| of an integer matrix"
-    )
-    se_alex.add_argument("--matrix", required=True, metavar='"-1,1;0,-1"')
-
-    nt = group("nt", "integer scans and pair classification")
-    n_pairs = nt("pairs", _nt_pairs, "band-count pair admissibility")
-    n_pairs.add_argument("--m", required=True, type=int)
-    n_pairs.add_argument("--n", required=True, type=int)
-    n_scan = nt("scan", _nt_scan, "bounded brute-force scans")
-    n_scan.add_argument("--family", required=True, choices=_SCANS)
-    n_scan.add_argument("--bounds", required=True, metavar="a,b[,c,d]")
-
-    table = group("table", "reference table verification")
-    t_verify = table("verify", _table_verify, "re-check every table row")
-    t_verify.add_argument("--corpus", default=None, help="path (default: bundled table)")
-
+    verbs = {
+        name: groups.add_parser(name, help=help).add_subparsers(dest="verb", required=True)
+        for name, help in _GROUPS.items()
+    }
+    for (name, verb), (_, help, _) in _COMMANDS.items():
+        _fill(verbs[name].add_parser(verb, help=help), (name, verb))
     return parser
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, with the work of the root and group parsers skipped.
+    """`build_parser().parse_args(argv)`, building only the leaf that argv names.
 
     When argv starts with a group and a verb, the nested parse hands the
     rest to that verb's leaf parser, so parse it there directly.  Anything
-    else, arguments the leaf leaves unrecognized, or a call before
-    `build_parser` has filled `_LEAVES` takes the nested parse, so help,
-    usage and root-level errors stay the root parser's.
+    else, or arguments the leaf leaves unrecognized, takes the nested parse,
+    so help, usage and root-level errors stay the root parser's.
     """
-    leaf = _LEAVES.get(tuple(argv[:2]))
-    if leaf is not None:
-        args, unrecognized = leaf.parse_known_args(argv[2:])
+    key = tuple(argv[:2])
+    if key in _COMMANDS:
+        args, unrecognized = _leaf_parser(key).parse_known_args(argv[2:])
         if not unrecognized:
             return args
     return build_parser().parse_args(argv)

@@ -46,7 +46,8 @@ def delta2(dp: NormalForm) -> int:
         raise ValueError(
             f"dp(2) may hold {bits:,} bits, above the delta2 budget of {DELTA2_BITS:,} bits"
         )
-    v = abs(eval_int(dp.poly, 2))
+    # A normal form has no negative exponents, so dp(2) is a sum of shifts.
+    v = abs(sum(c << e for e, c in dp.poly.terms.items()))
     if v == 0:
         return 0
     # One shift by the 2-adic valuation: dividing by 2 in a loop is

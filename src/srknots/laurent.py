@@ -352,102 +352,81 @@ def divide_exact(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
 
 # -- parsing ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<t>t)|(?P<op>[*^+\-]))")
+# One term with its sign.  Every part is optional, so the match never fails:
+# it stops where the grammar does, and `_term_error` names what is missing
+# there.  `*`, the exponent and its sign are read only after what they need;
+# trailing whitespace is taken, so the match ends at the next token or the end.
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-]?)"
+    r"\s*(?:(?P<coeff>\d+)(?:\s*(?P<star>\*))?)?"
+    r"(?:(?(star)\s*|(?(coeff)(?!)))(?P<t>t))?"
+    r"(?(t)(?:\s*(?P<caret>\^)\s*(?P<esign>[+-]?)\s*(?P<exp>\d*))?)"
+    r"\s*"
+)
+# A whole integer literal, or a character no token starts with.
+_LEXEME = re.compile(r"(\d+)|[^\s\dt*^+\-]")
 
 
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    n = len(text)
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise PolyParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.lastgroup == "int":
-            try:
-                value = int(m.group("int"))
-            except ValueError:  # more digits than Python's int <-> str cap
-                raise PolyParseError(
-                    f"integer literal has more than {sys.get_int_max_str_digits()} digits",
-                    m.start("int"),
-                ) from None
-            tokens.append(("int", value, m.start("int")))
-        elif m.lastgroup == "t":
-            tokens.append(("t", "t", m.start("t")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
+def _term_error(text: str, m: re.Match) -> PolyParseError:
+    """The error of the text at the term match m.
+
+    m is not a whole term, or holds a literal longer than Python's int <-> str
+    cap.  A character outside the grammar or such a literal, the first from
+    m.start() on, is named first: a character at the end of the token before
+    it, a literal at its first digit.  Then the grammar's own errors, at the
+    next token (or the end of the text), where m stops.
+    """
+    for lexeme in _LEXEME.finditer(text, m.start()):
+        digits = lexeme.group(1)
+        if digits is None:
+            at = len(text[: lexeme.start()].rstrip())
+            return PolyParseError(f"unexpected character {lexeme.group()!r}", at)
+        try:
+            int(digits)
+        except ValueError:
+            return PolyParseError(
+                f"integer literal has more than {sys.get_int_max_str_digits()} digits",
+                lexeme.start(),
+            )
+    sign, coeff, star, t, _, _, _ = m.groups()
+    if m.start():
+        if not sign:
+            return PolyParseError("expected '+' or '-' between terms", m.start())
+    elif sign == "+":
+        return PolyParseError("expected a term", m.start("sign"))
+    elif not (sign or coeff or t) and m.end() == len(text):
+        return PolyParseError("empty polynomial text", 0)
+    if not (coeff or t):
+        return PolyParseError("expected a term", m.end())
+    if star and not t:
+        return PolyParseError("expected 't' after '*'", m.end())
+    return PolyParseError("expected an exponent after '^'", m.end())
 
 
 def parse(text: str) -> LaurentPoly:
-    """Parse the polynomial grammar; raises PolyParseError with a position."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PolyParseError("empty polynomial text", 0)
-    pos = 0
+    """Parse the polynomial grammar; raises PolyParseError with a position.
+
+    One `_TERM` match per term reads its sign, coefficient, `*t` and
+    `^[+-]exponent`, and adds it into one exponent -> coefficient map.  Every
+    term but the first needs a sign, and the first may only have '-'.
+    """
     total: dict[int, int] = {}
-    end = len(tokens)
-
-    def peek():
-        return tokens[pos] if pos < end else ("end", None, len(text))
-
-    def take():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    def parse_exponent() -> int:
-        kind, val, at = peek()
-        sign = 1
-        if kind == "op" and val in "+-":
-            take()
-            sign = -1 if val == "-" else 1
-            kind, val, at = peek()
-        if kind != "int":
-            raise PolyParseError("expected an exponent after '^'", at)
-        take()
-        return sign * val
-
-    def parse_term(sign: int) -> tuple[int, int]:
-        """(exponent, coefficient) of the next term."""
-        kind, val, at = peek()
-        coeff = sign
-        if kind == "int":
-            take()
-            coeff = sign * val
-            kind, val, _ = peek()
-            if kind != "op" or val != "*":
-                return 0, coeff
-            take()
-            kind, _, at = peek()
-            if kind != "t":
-                raise PolyParseError("expected 't' after '*'", at)
-        elif kind != "t":
-            raise PolyParseError("expected a term", at)
-        take()
-        exp = 1
-        kind, val, _ = peek()
-        if kind == "op" and val == "^":
-            take()
-            exp = parse_exponent()
-        return exp, coeff
-
-    sign = 1
-    kind, val, _ = peek()
-    if kind == "op" and val == "-":
-        take()
-        sign = -1
+    n = len(text)
+    pos = 0
     while True:
-        exp, coeff = parse_term(sign)
-        total[exp] = total.get(exp, 0) + coeff
-        if pos == end:
+        m = _TERM.match(text, pos)
+        sign, coeff, star, t, caret, esign, exp = m.groups()
+        signed = sign != "+" if pos == 0 else sign
+        if not (signed and (coeff or t) and (t or not star) and exp != ""):
+            raise _term_error(text, m)
+        try:
+            c = int(coeff) if coeff else 1
+            e = (int(exp) if caret else 1) if t else 0
+        except ValueError:  # more digits than Python's int <-> str cap
+            raise _term_error(text, m) from None
+        if esign == "-":
+            e = -e
+        total[e] = total.get(e, 0) + (-c if sign == "-" else c)
+        pos = m.end()
+        if pos == n:
             return LaurentPoly(total)
-        kind, val, at = take()
-        if kind != "op" or val not in "+-":
-            raise PolyParseError("expected '+' or '-' between terms", at)
-        sign = -1 if val == "-" else 1

@@ -142,7 +142,8 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
     An empty list is a proof that no decomposition exists: the candidate set
     is complete for the span budget.  The peel divides only by the target's
     divisors: the candidates whose values at t = -1 and t = 2 divide the
-    target's, evaluated once, and which divide it exactly.  It runs over
+    target's, evaluated once, and which divide it exactly; the quotients of
+    those divisions are the peel's first level.  It runs over
     distinct factor polynomials; each solution is expanded into one
     certificate per choice of aliases, so distinct parameter triples with the
     same factor polynomial are reported as distinct certificates.  Targets
@@ -151,16 +152,18 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
     """
     target = dp.poly
     det, at_2 = abs(eval_int(target, -1)), eval_int(target, 2)
-    divisors = [
-        c
+    screened = [
+        (c, quotient)
         for c in _candidates(target.span)
         if det % c.at_minus1 == 0
         and (at_2 % c.at_2 == 0 if c.at_2 else at_2 == 0)
-        and divide_exact(target, c.poly) is not None
+        and (quotient := divide_exact(target, c.poly)) is not None
     ]
+    divisors = [c for c, _ in screened]
     results: list[SRDecomposition] = []
 
-    def peel(cur: LaurentPoly, start: int, acc: list[int]):
+    def peel(cur: LaurentPoly, start: int, acc: list[int], quotients):
+        """quotients yields cur / divisors[idx] (or None) for idx = start, start + 1, ..."""
         if cur == 1:
             picks = (
                 combinations_with_replacement(divisors[idx].aliases, k)
@@ -168,14 +171,13 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
             )
             results.extend(SRDecomposition(tuple(chain(*choice))) for choice in product(*picks))
             return
-        for idx in range(start, len(divisors)):
-            quotient = divide_exact(cur, divisors[idx].poly)
+        for idx, quotient in enumerate(quotients, start):
             if quotient is not None:
                 acc.append(idx)
-                peel(quotient, idx, acc)
+                peel(quotient, idx, acc, (divide_exact(quotient, c.poly) for c in divisors[idx:]))
                 acc.pop()
 
-    peel(target, 0, [])
+    peel(target, 0, [], [quotient for _, quotient in screened])
     results.sort(key=lambda d: d.factors)
     # Both sides are normal forms, so unit equivalence is plain equality.
     for dec in results:

@@ -519,9 +519,33 @@ class TestDispatch:
         monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
         assert got == outcome(capsys, argv)
 
-    def test_named_leaf_skips_the_root_parser(self, capsys, monkeypatch):
-        cli.build_parser()
+    @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
+    def test_cold_dispatch_matches_the_nested_parse(self, capsys, monkeypatch, argv):
+        # As a process's first call: no leaf parser and no root parser built yet.
+        cli._leaf_parser.cache_clear()
+        cli.build_parser.cache_clear()
+        got = outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        assert got == outcome(capsys, argv)
 
+    def test_first_call_builds_only_its_leaf(self, fresh_process):
+        script = "\n".join([
+            "import argparse",
+            "from srknots import cli",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def recording(self, *args, **kwargs):",
+            "    init(self, *args, **kwargs)",
+            "    built.append(self.prog)",
+            "argparse.ArgumentParser.__init__ = recording",
+            "code = cli.main(['sr', 'classify', '--poly', '2 - 5*t + 2*t^2'])",
+            "print(code, built)",
+        ])
+        done = fresh_process(entry=("-c", script), timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 ['srknots sr classify']"
+
+    def test_named_leaf_skips_the_root_parser(self, capsys, monkeypatch):
         def forbidden():
             raise AssertionError("nested parse")
 

@@ -6,6 +6,9 @@ exception.  A polynomial raises PolyParseError, whose position lies in the
 text, and a corpus row raises CorpusError, which names its line.
 """
 
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,7 +67,137 @@ def parses_or_names_its_position(text):
         assert 0 <= exc.position <= len(text), (text, exc.position)
 
 
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<t>t)|(?P<op>[*^+\-]))")
+
+
+def reference_tokenize(text: str):
+    pos = 0
+    tokens = []
+    n = len(text)
+    while pos < n:
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise PolyParseError(f"unexpected character {stripped[0]!r}", pos)
+        if m.lastgroup == "int":
+            try:
+                value = int(m.group("int"))
+            except ValueError:  # more digits than Python's int <-> str cap
+                raise PolyParseError(
+                    f"integer literal has more than {sys.get_int_max_str_digits()} digits",
+                    m.start("int"),
+                ) from None
+            tokens.append(("int", value, m.start("int")))
+        elif m.lastgroup == "t":
+            tokens.append(("t", "t", m.start("t")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    return tokens
+
+
+def reference_parse(text: str) -> LaurentPoly:
+    """The token-list parser that `parse` replaced, kept as its reference."""
+    tokens = reference_tokenize(text)
+    if not tokens:
+        raise PolyParseError("empty polynomial text", 0)
+    pos = 0
+    total: dict[int, int] = {}
+    end = len(tokens)
+
+    def peek():
+        return tokens[pos] if pos < end else ("end", None, len(text))
+
+    def take():
+        nonlocal pos
+        tok = peek()
+        pos += 1
+        return tok
+
+    def parse_exponent() -> int:
+        kind, val, at = peek()
+        sign = 1
+        if kind == "op" and val in "+-":
+            take()
+            sign = -1 if val == "-" else 1
+            kind, val, at = peek()
+        if kind != "int":
+            raise PolyParseError("expected an exponent after '^'", at)
+        take()
+        return sign * val
+
+    def parse_term(sign: int) -> tuple[int, int]:
+        """(exponent, coefficient) of the next term."""
+        kind, val, at = peek()
+        coeff = sign
+        if kind == "int":
+            take()
+            coeff = sign * val
+            kind, val, _ = peek()
+            if kind != "op" or val != "*":
+                return 0, coeff
+            take()
+            kind, _, at = peek()
+            if kind != "t":
+                raise PolyParseError("expected 't' after '*'", at)
+        elif kind != "t":
+            raise PolyParseError("expected a term", at)
+        take()
+        exp = 1
+        kind, val, _ = peek()
+        if kind == "op" and val == "^":
+            take()
+            exp = parse_exponent()
+        return exp, coeff
+
+    sign = 1
+    kind, val, _ = peek()
+    if kind == "op" and val == "-":
+        take()
+        sign = -1
+    while True:
+        exp, coeff = parse_term(sign)
+        total[exp] = total.get(exp, 0) + coeff
+        if pos == end:
+            return LaurentPoly(total)
+        kind, val, at = take()
+        if kind != "op" or val not in "+-":
+            raise PolyParseError("expected '+' or '-' between terms", at)
+        sign = -1 if val == "-" else 1
+
+
+def parsed_or_error(parser, text):
+    try:
+        return parser(text)
+    except PolyParseError as exc:
+        return str(exc), exc.position
+
+
+# Characters of every token, whitespace `\s` takes and `str.strip` too, a
+# digit `\d` takes and `int` reads, and characters of no token.
+poly_chars = st.text(alphabet="0123456789t*^+- \t\n\x1c\x85\u00a0\u0663xT,.", max_size=24)
+
+
 class TestPolyGrammar:
+    @given(st.one_of(poly_text, entry_text, poly_chars, st.text(max_size=40)))
+    @settings(deadline=None, max_examples=500)
+    def test_same_as_the_token_parser(self, text):
+        assert parsed_or_error(parse, text) == parsed_or_error(reference_parse, text)
+
+    @pytest.mark.parametrize("text", [
+        "1" * 5000, "t^" + "1" * 5000, "1 + + " + "1" * 5000, "1" * 5000 + " x",
+        "x " + "1" * 5000, "2*t^" + "1" * 5000 + " y", "1 +  " + "2" * 5000 + "*",
+    ])
+    def test_same_as_the_token_parser_on_literals_above_the_digit_cap(self, text):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            assert parsed_or_error(parse, text) == parsed_or_error(reference_parse, text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     @given(poly_text)
     @settings(deadline=None)
     def test_near_grammar_text_parses_or_names_its_position(self, text):
