@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .laurent import NormalForm, equal_up_to_unit, eval_int
+from .laurent import NormalForm, eval_int, normalize
 
 __all__ = ["delta2", "knot_det", "is_pm_power_product", "symmetry_check"]
 
@@ -61,8 +61,8 @@ def knot_det(dp: NormalForm) -> int:
 
 
 def symmetry_check(dp: NormalForm) -> bool:
-    """Whether dp is unit-equivalent to its own t -> 1/t image."""
-    return equal_up_to_unit(dp.poly, dp.poly.substitute_inverse())
+    """Whether dp is unit-equivalent to its own t -> 1/t image (dp is normal already)."""
+    return normalize(dp.poly.substitute_inverse()).poly == dp.poly
 
 
 def _strike(flags: bytearray, start: int, step: int) -> None:

@@ -3,13 +3,13 @@
 `decompose` finds every multiset of fusion parameters whose factor product is
 unit-equivalent to the input (with trivial base).  Exponent spans are
 additive under multiplication and every usable factor has span >= 2, so
-enumerating all parameters with factor span at most the input's span is a
-complete candidate set.  Every factor of a solution divides the input, so
-the search screens the candidates once, by their values at t = -1 and t = 2
-and then by exact division, and peels by the input's divisors alone.
-Many triples share one factor polynomial (the mirror identity (m,l,p) ~
-(m,-l,m-p) among others), so the peel runs over distinct polynomials and
-expands each solution into its alias certificates at the end.
+the parameters of factor span at most the input's span are a complete set.
+The search walks their keys (m, p + l, p mod 2), forms only the factors
+whose closed-form values at t = -1, 3 and 2 divide the input's, keeping no
+table, and peels by those that divide it.  Many triples share one factor
+polynomial (the mirror identity (m,l,p) ~ (m,-l,m-p) among others), so the
+peel runs over distinct polynomials and expands each solution into its
+alias certificates at the end.
 
 `classify` runs the obstruction pipeline: symmetry, the 2^s +- 1 test on
 delta2, the rigidity of delta2 = 1 polynomials, and finally the search.  A
@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from typing import Optional, Tuple
 
@@ -45,11 +44,10 @@ __all__ = [
 # The only factor polynomial with delta2 = 1 besides units.
 DELTA2_ONE_QUARTIC = parse("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
 
-# Widest target `decompose` searches.  The candidate table is cheap (span 64
-# in 0.16 s on a 2-core x86-64 VM, Python 3.11) and is screened once down to
-# the target's divisors, but its parameter triples grow about as the cube of
-# the span, and with them the alias expansion and check of every certificate,
-# so wider inputs are refused rather than searched for minutes.
+# Widest target `decompose` searches.  The key screen takes 2-7 ms on a cold
+# product of span 56-64 (2-core x86-64 VM, Python 3.11), but the parameter
+# triples, and with them the alias expansion and the check of every
+# certificate, grow about as the cube of the span, so wider inputs are refused.
 MAX_SEARCH_SPAN = 64
 
 
@@ -78,14 +76,6 @@ class SRClassification:
             raise ValueError("POLY_COMPATIBLE requires at least one certificate")
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    aliases: Tuple[SRParams, ...]  # sorted triples whose factor is poly
-    poly: LaurentPoly  # normalized factor polynomial
-    at_minus1: int     # |poly(-1)|, always >= 1
-    at_2: int
-
-
 def _layer_keys(h: int) -> list[tuple[int, int, int]]:
     """Every key (m, s, p mod 2) whose factor has span exactly 2h >= 2.
 
@@ -94,79 +84,88 @@ def _layer_keys(h: int) -> list[tuple[int, int, int]]:
     """
     keys = [(h + 1, 0, 0), (h + 1, h + 1, (h + 1) % 2)]
     keys += [(m, s, par) for m in range(1, h) for s in (m - h, h) for par in (0, 1)]
-    keys += [
-        (h, s, par)
-        for s in range(h + 1)
-        for par in (0, 1)
-        if (s, par) not in ((0, 0), (h, h % 2))
-    ]
+    cancelled = ((0, 0), (h, h % 2))  # (s, par) of span 2h - 2 at m = h
+    keys += [(h, s, par) for s in range(h + 1) for par in (0, 1) if (s, par) not in cancelled]
     return keys
 
 
-@lru_cache(maxsize=MAX_SEARCH_SPAN // 2)
-def _layer(h: int) -> tuple[_Candidate, ...]:
-    """The candidates of span exactly 2h, sorted by aliases."""
-    groups: dict[LaurentPoly, list[SRParams]] = {}
-    for m, s, par in _layer_keys(h):
-        f = F_factor(SRParams(m, s - par, par)).poly
-        groups.setdefault(f, []).extend(SRParams(m, s - p, p) for p in range(par, m + 1, 2))
-    found = [
-        _Candidate(tuple(sorted(prms)), f, abs(eval_int(f, -1)), eval_int(f, 2))
-        for f, prms in groups.items()
-    ]
-    found.sort(key=lambda c: c.aliases)
-    return tuple(found)
+def _factor_value(m: int, s: int, par: int, h: int, x: int) -> int:
+    """|F(x)| = |x^h f(x) f(1/x)| for the key's factor, of span 2h, in integers.
 
-
-def _candidates(max_span: int) -> tuple[_Candidate, ...]:
-    """Distinct factor polynomials with 2 <= span <= max_span, with aliases.
-
-    Sorted by span, then aliases.  f(t; m, l, p) = (1 - t)^m - (-1)^p t^(p+l)
-    depends only on the key (m, s = p + l, p mod 2), and so does its span, so
-    each span layer lists its keys by `factor_span`'s cases and expands each
-    key into its aliases p = par, par + 2, ... <= m, l = s - p.  The key
-    (m, s, par) and its mirror (m, m - s, (m - par) mod 2) share one F, as
-    the mirror (m, -l, m - p) of each alias is an alias of the mirror key;
-    grouping by polynomial merges the two, and any rarer coincidence too.
-    Every alias of a polynomial has that polynomial's span, so the table is
-    the layers 1..max_span // 2 joined, each built once per process.
+    x^low f(x) and x^high f(1/x) are integers; low + high - h is 0, or 1 in
+    `factor_span`'s two cancellation cases, where x must divide their product.
     """
-    if max_span > MAX_SEARCH_SPAN:
-        raise ValueError(f"span {max_span} is above the search budget of {MAX_SEARCH_SPAN}")
-    return tuple(chain.from_iterable(_layer(h) for h in range(1, max_span // 2 + 1)))
+    sign = -1 if par else 1
+    low, high = max(0, -s), max(m, s)
+    below = (1 - x) ** m * x**low - sign * x ** (s + low)
+    above = (x - 1) ** m * x ** (high - m) - sign * x ** (high - s)
+    value, rest = divmod(below * above, x ** (low + high - h))
+    if rest:
+        raise ArithmeticError(f"the key {(m, s, par)} has no integer value at {x}")
+    return abs(value)
+
+
+def _det_value(m: int, l_par: int) -> int:
+    """|F(-1)| = (2^m - (-1)^l)^2 for every triple (m, l, p) with l = l_par mod 2."""
+    return (2**m - (-1) ** l_par) ** 2
+
+
+def _divisors(target: LaurentPoly) -> list[tuple[LaurentPoly, tuple[SRParams, ...], LaurentPoly]]:
+    """(factor, sorted aliases, quotient) for each factor dividing target, by (span, aliases).
+
+    f(t; m, l, p) = (1 - t)^m - (-1)^p t^(p+l) depends only on the key
+    (m, s = p + l, p mod 2), whose aliases are p = par, par + 2, ... <= m.
+    Before its factor F is formed, a key must pass three necessary integer
+    tests: |F(-1)| >= 1 divides the target's determinant, and |F(3)| and
+    |F(2)| divide its values there.  A key and its mirror (m, m - s,
+    (m - par) mod 2) share F, so the one that sorts first stands for both.
+    """
+    if target.span > MAX_SEARCH_SPAN:
+        raise ValueError(f"span {target.span} is above the search budget of {MAX_SEARCH_SPAN}")
+    det = abs(eval_int(target, -1))
+    at_2, at_3 = abs(eval_int(target, 2)), abs(eval_int(target, 3))
+    ms = range(1, target.span // 2 + 2)
+    dets = {(m, l_par) for m in ms for l_par in (0, 1) if det and det % _det_value(m, l_par) == 0}
+    groups: dict[LaurentPoly, list[tuple[int, int, int]]] = {}
+    for h in range(1, target.span // 2 + 1):
+        for m, s, par in _layer_keys(h):
+            if (m, (s - par) % 2) not in dets or (m - s, (m - par) % 2) < (s, par):
+                continue
+            if at_3 % _factor_value(m, s, par, h, 3):
+                continue
+            f_2 = _factor_value(m, s, par, h, 2)
+            if at_2 % f_2 if f_2 else at_2:
+                continue
+            f = F_factor(SRParams(m, s - par, par)).poly
+            groups.setdefault(f, []).extend([(m, s, par), (m, m - s, (m - par) % 2)])
+    found = []
+    for f, keys in groups.items():
+        quotient = divide_exact(target, f)
+        if quotient is not None:
+            aliases = sorted({(m, s - p, p) for m, s, par in keys for p in range(par, m + 1, 2)})
+            found.append((f, tuple(SRParams(*a) for a in aliases), quotient))
+    found.sort(key=lambda d: (d[0].span, d[1]))
+    return found
 
 
 def decompose(dp: NormalForm) -> list[SRDecomposition]:
     """All multiset-distinct fusion decompositions of dp, canonically ordered.
 
-    An empty list is a proof that no decomposition exists: the candidate set
-    is complete for the span budget.  The peel divides only by the target's
-    divisors: the candidates whose values at t = -1 and t = 2 divide the
-    target's, evaluated once, and which divide it exactly; the quotients of
-    those divisions are the peel's first level.  It runs over
-    distinct factor polynomials; each solution is expanded into one
-    certificate per choice of aliases, so distinct parameter triples with the
-    same factor polynomial are reported as distinct certificates.  Targets
-    wider than MAX_SEARCH_SPAN raise ValueError instead of building a huge
-    table.
+    An empty list is a proof that no decomposition exists.  The peel starts
+    from the quotients of `_divisors` and divides only by its factors; each
+    solution over distinct factor polynomials is expanded into one
+    certificate per choice of aliases.  Targets wider than MAX_SEARCH_SPAN
+    raise ValueError.
     """
     target = dp.poly
-    det, at_2 = abs(eval_int(target, -1)), eval_int(target, 2)
-    screened = [
-        (c, quotient)
-        for c in _candidates(target.span)
-        if det % c.at_minus1 == 0
-        and (at_2 % c.at_2 == 0 if c.at_2 else at_2 == 0)
-        and (quotient := divide_exact(target, c.poly)) is not None
-    ]
-    divisors = [c for c, _ in screened]
+    divisors = _divisors(target)
     results: list[SRDecomposition] = []
 
     def peel(cur: LaurentPoly, start: int, acc: list[int], quotients):
         """quotients yields cur / divisors[idx] (or None) for idx = start, start + 1, ..."""
         if cur == 1:
             picks = (
-                combinations_with_replacement(divisors[idx].aliases, k)
+                combinations_with_replacement(divisors[idx][1], k)
                 for idx, k in Counter(acc).items()
             )
             results.extend(SRDecomposition(tuple(chain(*choice))) for choice in product(*picks))
@@ -174,10 +173,10 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
         for idx, quotient in enumerate(quotients, start):
             if quotient is not None:
                 acc.append(idx)
-                peel(quotient, idx, acc, (divide_exact(quotient, c.poly) for c in divisors[idx:]))
+                peel(quotient, idx, acc, (divide_exact(quotient, f) for f, _, _ in divisors[idx:]))
                 acc.pop()
 
-    peel(target, 0, [], [quotient for _, quotient in screened])
+    peel(target, 0, [], [quotient for _, _, quotient in divisors])
     results.sort(key=lambda d: d.factors)
     # Both sides are normal forms, so unit equivalence is plain equality.
     for dec in results:

@@ -15,7 +15,7 @@ from srknots.invariants import (
     knot_det,
     symmetry_check,
 )
-from srknots.laurent import LaurentPoly, eval_int, normalize, parse
+from srknots.laurent import LaurentPoly, equal_up_to_unit, eval_int, normalize, parse
 from srknots.srpoly import SRParams, F_factor
 
 
@@ -144,6 +144,31 @@ class TestSymmetry:
 
     def test_non_palindrome(self):
         assert not symmetry_check(NF("1 + 2*t"))
+
+    def test_one_normalize_and_unit_equivalence(self, monkeypatch):
+        # q q(1/t) is symmetric, q - q(1/t) is equal to its image up to the
+        # unit -1, and q alone is mostly neither.
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return normalize(p)
+
+        monkeypatch.setattr(invariants, "normalize", counting)
+        rng = random.Random(12)
+        seen = set()
+        for _ in range(300):
+            low = rng.randint(-3, 3)
+            q = LaurentPoly({e: rng.randint(-3, 3) for e in range(low, low + rng.randint(1, 6))})
+            for p in (q * q.substitute_inverse(), q - q.substitute_inverse(), q):
+                if p.is_zero:
+                    continue
+                calls.clear()
+                answer = symmetry_check(normalize(p))
+                assert len(calls) == 1
+                assert answer == equal_up_to_unit(p, p.substitute_inverse()), str(p)
+                seen.add(answer)
+        assert seen == {True, False}
 
 
 def pm_product_set(limit):

@@ -1,12 +1,23 @@
 import functools
 import itertools
 import random
+from collections import Counter
+from math import comb
 
 import pytest
 
 from srknots import srsearch
+from srknots.corpus import load_corpus
 from srknots.laurent import LaurentPoly, divide_exact, eval_int, normalize, parse
-from srknots.srpoly import SRDecomposition, SRParams, F_factor, f_factor, factor_span, product_formula
+from srknots.srpoly import (
+    SRDecomposition,
+    SRParams,
+    F_factor,
+    f_factor,
+    factor_span,
+    parse_decomposition,
+    product_formula,
+)
 from srknots.srsearch import (
     DELTA2_ONE_QUARTIC,
     Obstruction,
@@ -204,7 +215,10 @@ def product_factor(prm):
 
 @functools.lru_cache(maxsize=None)
 def reference_candidates(max_span):
-    """The candidate table from the cubic loop over triples, one product per triple."""
+    """(factor polynomial, sorted aliases) for 2 <= span <= max_span, sorted by (span, aliases).
+
+    From the cubic loop over triples, one term-pair product per triple.
+    """
     budget = max_span // 2
     groups = {}
     for m in range(1, budget + 2):
@@ -213,20 +227,60 @@ def reference_candidates(max_span):
                 prm = SRParams(m, s - p, p)
                 if 2 <= factor_span(prm) <= max_span:
                     groups.setdefault(product_factor(prm), []).append(prm)
-    found = [
-        srsearch._Candidate(tuple(sorted(prms)), f, abs(eval_int(f, -1)), eval_int(f, 2))
-        for f, prms in groups.items()
-    ]
-    found.sort(key=lambda c: (c.poly.span, c.aliases))
+    found = [(f, tuple(sorted(prms))) for f, prms in groups.items()]
+    found.sort(key=lambda c: (c[0].span, c[1]))
     return tuple(found)
 
 
+def _seeded_products(seed, spans, pool, sizes):
+    """Per span in spans, one seeded product of a size in sizes from the non-unit triples of pool."""
+    rng = random.Random(seed)
+    pool = [prm for prm in pool if factor_span(prm) >= 2]
+    out = []
+    for span in spans:
+        while True:
+            dec = SRDecomposition(tuple(rng.choice(pool) for _ in range(rng.choice(sizes))))
+            if sum(map(factor_span, dec)) == span:
+                out.append(dec)
+                break
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def screen_targets():
+    """The 25 table rows, a seeded product at each even span 2..64, and 6 with a repeated factor.
+
+    The products at each span take m <= 4 and |l| <= 24, so that wide factors
+    come with few aliases and `decompose` stays fast; the repeated-factor
+    products take m <= 3 and |l| <= 3.
+    """
+    wide = [SRParams(m, l, p) for m in range(1, 5) for l in range(-24, 25) for p in range(m + 1)]
+    products = _seeded_products(21, range(2, 65, 2), wide, (1, 2, 3))
+    products += [
+        SRDecomposition(dec.factors + dec.factors[:1])
+        for dec in _seeded_products(22, (12, 16, 20, 24, 28, 32), _small_pool(), (2, 3))
+    ]
+    rows = [record.delta_prime for record in load_corpus()]
+    return tuple(rows + [product_formula(dec) for dec in products])
+
+
 class TestCandidateTable:
+    """The key screen of `srsearch._divisors` against the triple-loop reference table."""
+
     def test_matches_the_triple_loop_at_every_span(self):
-        reference = reference_candidates(48)
-        for max_span in range(49):
-            expected = tuple(c for c in reference if c.poly.span <= max_span)
-            assert srsearch._candidates(max_span) == expected, max_span
+        reference = reference_candidates(srsearch.MAX_SEARCH_SPAN)
+        spans = set()
+        for dp in screen_targets():
+            target = dp.poly
+            spans.add(target.span)
+            expected = [
+                (f, aliases)
+                for f, aliases in reference
+                if f.span <= target.span and divide_exact(target, f) is not None
+            ]
+            found = [(f, aliases) for f, aliases, _ in srsearch._divisors(target)]
+            assert found == expected, str(target)
+        assert set(range(2, srsearch.MAX_SEARCH_SPAN + 1, 2)) <= spans
 
     def test_layer_keys_match_brute_force(self):
         # factor_span is at least 2 max(m - 1, |s|), so every key of span 2h
@@ -244,9 +298,103 @@ class TestCandidateTable:
             assert set(keys) == expected, h
 
     def test_span_64_counts(self):
-        table = srsearch._candidates(64)
-        assert len(table) == 1566
-        assert sum(len(c.aliases) for c in table) == 24464
+        groups = {}
+        for h in range(1, 33):
+            for m, s, par in srsearch._layer_keys(h):
+                aliases = groups.setdefault(F_factor(SRParams(m, s - par, par)).poly, set())
+                aliases.update(SRParams(m, s - p, p) for p in range(par, m + 1, 2))
+        assert len(groups) == 1566
+        assert sum(map(len, groups.values())) == 24464
+
+    def test_closed_form_values(self):
+        for h in range(1, srsearch.MAX_SEARCH_SPAN // 2 + 1):
+            for m, s, par in srsearch._layer_keys(h):
+                f = F_factor(SRParams(m, s - par, par)).poly
+                key = (m, s, par)
+                assert srsearch._det_value(m, (s - par) % 2) == abs(eval_int(f, -1)), key
+                for x in (2, 3):
+                    assert srsearch._factor_value(m, s, par, h, x) == abs(eval_int(f, x)), (key, x)
+
+    def test_inexact_value_raises(self):
+        # With h one short, (1 - 2x)(x - 2) must be divisible by x; at x = 3 it is -5.
+        with pytest.raises(ArithmeticError):
+            srsearch._factor_value(1, 1, 0, 0, 3)
+
+
+def oracle_certificate_count(target):
+    """How many certificates `decompose` should find for target, from sympy alone.
+
+    The divisors are the reference-table polynomials that sympy's `rem`
+    divides into target (after a test of the values at t = -1, 2 and 3, a
+    necessary condition that saves most of the divisions).  Factoring target
+    and each divisor over Z gives multisets of irreducible factors (integer
+    primes of the content included); a solution is a multiset of divisors
+    whose factors add up to target's, and a divisor with a aliases used k
+    times gives C(a + k - 1, k) alias choices.  Shares no code with the peel.
+    """
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def to_sympy(poly):
+        return sympy.Poly.from_dict({(e,): c for e, c in poly.items()}, t, domain="ZZ")
+
+    def factors(p):
+        content, irreducible = p.factor_list()
+        out = Counter(sympy.factorint(abs(int(content))))
+        for q, k in irreducible:
+            out[(q if q.LC() > 0 else -q).as_expr()] += k
+        return out
+
+    values = [eval_int(target, x) for x in (-1, 2, 3)]
+    whole = to_sympy(target)
+    parts = []
+    for f, aliases in reference_candidates(srsearch.MAX_SEARCH_SPAN):
+        if f.span > target.span:
+            break
+        if any(v % fv if (fv := eval_int(f, x)) else v for x, v in zip((-1, 2, 3), values)):
+            continue
+        g = to_sympy(f)
+        if whole.rem(g).is_zero:
+            parts.append((len(aliases), factors(g)))
+    goal = factors(whole)
+    keys = list(goal)
+    vectors = [(a, tuple(fs[k] for k in keys)) for a, fs in parts]
+
+    @functools.lru_cache(maxsize=None)
+    def covers(i, rest):
+        if not any(rest):
+            return 1
+        if i == len(vectors):
+            return 0
+        aliases, vec = vectors[i]
+        total, k = 0, 0
+        while min(rest) >= 0:
+            total += comb(aliases + k - 1, k) * covers(i + 1, rest)
+            k += 1
+            rest = tuple(r - v for r, v in zip(rest, vec))
+        return total
+
+    return covers(0, tuple(goal[k] for k in keys))
+
+
+class TestExactCoverOracle:
+    def test_counts_match_decompose(self):
+        for dp in screen_targets():
+            assert len(decompose(dp)) == oracle_certificate_count(dp.poly), str(dp)
+
+    @pytest.mark.parametrize("lose", ["divisor", "alias"])
+    def test_oracle_sees_a_lost_divisor_or_alias(self, monkeypatch, lose):
+        screen = srsearch._divisors
+
+        def lossy(target):
+            found = screen(target)
+            if lose == "divisor":
+                return found[:-1]
+            return [(f, aliases[:-1] or aliases, q) for f, aliases, q in found]
+
+        monkeypatch.setattr(srsearch, "_divisors", lossy)
+        dp = product_formula(parse_decomposition("F(1,1,1)*F(2,0,1)*F(2,0,1)"))
+        assert len(decompose(dp)) != oracle_certificate_count(dp.poly)
 
 
 def counted_divisions(monkeypatch):
@@ -271,14 +419,15 @@ class TestPolynomialPeel:
             assert decompose(target) == _triple_by_triple_decompose(target), str(chosen)
 
     def test_candidate_table_groups_every_triple_once(self):
-        table = srsearch._candidates(24)
-        assert len({c.poly for c in table}) == len(table)
-        for cand in table:
-            assert list(cand.aliases) == sorted(cand.aliases)
-            assert all(product_factor(prm) == cand.poly for prm in cand.aliases)
-        spans = [c.poly.span for c in table]
-        assert spans == sorted(spans)
-        assert sum(len(c.aliases) for c in table) == 1534
+        for dp in screen_targets():
+            target = dp.poly
+            divisors = srsearch._divisors(target)
+            assert len({f for f, _, _ in divisors}) == len(divisors)
+            for f, aliases, quotient in divisors:
+                assert list(aliases) == sorted(set(aliases))
+                assert f * quotient == target
+            spans = [f.span for f, _, _ in divisors]
+            assert spans == sorted(spans)
 
     def test_aliases_do_not_repeat_divisions(self, monkeypatch):
         # Peeling each parameter triple on its own takes 1,784 divisions here;
@@ -330,9 +479,11 @@ class TestCertificateCheck:
         assert done.returncode == 0, done.stderr
 
 
-def test_caches_are_bounded():
-    assert srsearch._layer.cache_info().maxsize == srsearch.MAX_SEARCH_SPAN // 2
-    cached = srsearch._layer.cache_info().currsize
-    with pytest.raises(ValueError):
-        srsearch._candidates(srsearch.MAX_SEARCH_SPAN + 2)
-    assert srsearch._layer.cache_info().currsize == cached
+def test_wide_targets_are_refused_before_any_factor(monkeypatch):
+    formed = []
+    monkeypatch.setattr(srsearch, "F_factor", lambda prm: formed.append(prm))
+    target = NF("1 - t + t^%d" % (srsearch.MAX_SEARCH_SPAN + 2))
+    with pytest.raises(ValueError, match="above the search budget"):
+        decompose(target)
+    assert formed == []
+    assert not [name for name, value in vars(srsearch).items() if hasattr(value, "cache_info")]
