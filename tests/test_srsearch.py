@@ -454,10 +454,38 @@ class TestPolynomialPeel:
 
 
 class TestCertificateCheck:
+    ONE_ALIAS = SRParams(2, 0, 0)
+
     def test_wrong_certificate_raises(self, monkeypatch):
         monkeypatch.setattr(srsearch, "product_formula", lambda dec: NF("1 + t"))
         with pytest.raises(ArithmeticError):
             decompose(NF("2 - 5*t + 2*t^2"))
+
+    def test_one_wrong_alias_raises(self, monkeypatch):
+        def patched(dec):
+            true = product_formula(dec)
+            if dec.factors != (self.ONE_ALIAS,):
+                return true
+            return normalize(true.poly * parse("1 + t"))
+
+        target = NF("2 - 5*t + 2*t^2")
+        assert SRDecomposition((self.ONE_ALIAS,)) in decompose(target)
+        monkeypatch.setattr(srsearch, "product_formula", patched)
+        with pytest.raises(ArithmeticError, match="does not regenerate"):
+            decompose(target)
+
+    def test_one_term_pair_factor_per_alias(self, monkeypatch):
+        calls = []
+
+        def counted(dec):
+            calls.append(dec)
+            return product_formula(dec)
+
+        monkeypatch.setattr(srsearch, "product_formula", counted)
+        target = product_formula(parse_decomposition("F(1,-6,1)*F(1,4,0)*F(3,-5,0)*F(4,-4,4)"))
+        assert len(decompose(target)) == 288
+        assert len(calls) <= 30
+        assert all(len(dec) == 1 for dec in calls)
 
     def test_check_runs_under_python_O(self, fresh_process):
         script = "\n".join(
@@ -465,14 +493,23 @@ class TestCertificateCheck:
                 "import sys",
                 "from srknots import srsearch",
                 "from srknots.laurent import normalize, parse",
+                "from srknots.srpoly import SRParams, product_formula",
                 "if not sys.flags.optimize:",
                 "    sys.exit(2)",
-                "srsearch.product_formula = lambda dec: normalize(parse('1 + t'))",
-                "try:",
-                "    srsearch.decompose(normalize(parse('2 - 5*t + 2*t^2')))",
-                "except ArithmeticError:",
-                "    sys.exit(0)",
-                "sys.exit(1)",
+                "target = normalize(parse('2 - 5*t + 2*t^2'))",
+                "def one_alias(dec):",
+                "    true = product_formula(dec)",
+                "    if dec.factors != (SRParams(2, 0, 0),):",
+                "        return true",
+                "    return normalize(true.poly * parse('1 + t'))",
+                "for patch in (lambda dec: normalize(parse('1 + t')), one_alias):",
+                "    srsearch.product_formula = patch",
+                "    try:",
+                "        srsearch.decompose(target)",
+                "    except ArithmeticError:",
+                "        continue",
+                "    sys.exit(1)",
+                "sys.exit(0)",
             ]
         )
         done = fresh_process(entry=("-c", script), optimize=1, timeout=60)
