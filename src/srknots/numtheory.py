@@ -8,19 +8,24 @@ families), and the admissible-pair classifier for band counts (`nt pairs`).
 No scan factors a value.
 
 Three scan families (`minus`, `base`, `plus`) ask whether two values have
-the same prime support P(x), the set of primes dividing x.  They answer by
-divisibility, without factoring: for x, y >= 1, P(x) is contained in P(y)
-exactly when x divides y^k with k = x.bit_length().  If every prime of x
-divides y, each prime power p^a in x has a < k, so it divides y^k; if x
-divides y^k, each prime of x divides y^k and hence y.  So two modular
-powers decide P(x) = P(y) exactly and deterministically.
+the same prime support P(x), the set of primes dividing x.  All three run
+through one pair scan, `_support_scan`: a family is a list of rules, each
+with two signs a, b and the exponent pairs (i, j) at which to test
+P(A^i + a) = P(A^j + b).  The scan answers by divisibility, without
+factoring: for x, y >= 1, P(x) is contained in P(y) exactly when x divides
+y^k with k = x.bit_length().  If every prime of x divides y, each prime
+power p^a in x has a < k, so it divides y^k; if x divides y^k, each prime
+of x divides y^k and hence y.  So two modular powers decide P(x) = P(y)
+exactly and deterministically.
 
-Before those powers, each scan computes one signature per value,
-gcd(v, 2 * 3 * 5 * ... * 47): the product of the primes below 50 that
-divide v.  Equal supports force equal signatures, so a pair whose
-signatures differ cannot match and is skipped; only pairs that agree on
-the small primes reach the modular powers.  Hits and their order are
-those of the powers alone.
+Before those powers, the scan forms each value A^e +- 1 that a rule uses
+once per A, with one signature, gcd(v, 2 * 3 * 5 * ... * 47): the product
+of the primes below 50 that divide v.  Equal supports force equal
+signatures, so a pair whose signatures differ cannot match and is
+skipped; only pairs that agree on the small primes reach the modular
+powers.  Hits and their order are those of the powers alone.  One cost,
+counted from the bounds before any value is formed, refuses a box above
+SCAN_BUDGET with ValueError.
 
 All scans run on exact big integers; they are verification harnesses over
 finite boxes, not proofs.
@@ -91,13 +96,65 @@ def catalan_scan(
     for x in range(2, x_max + 1):
         for u in range(2, u_max + 1):
             target = x**u - 1
-            if target < 1:
-                continue
             for v in range(2, v_max + 1):
                 y = _iroot(target, v)
-                if y != 0 and y <= y_max and y**v == target:
+                if y <= y_max and y**v == target:
                     hits.append((x, u, y, v))
     return sorted(hits)
+
+
+# The cost of a `_support_scan` box, from its bounds alone: for each base A,
+# two values A^e +- 1 per exponent up to the top one, e_max, and every pair
+# test, each counted as 64 plus the e_max * bitlen(A_max) bits that bound
+# every value, so at A_max = 2 it grows 8x per doubling of e_max.  Single
+# in-process runs (2-core x86-64 VM, Python 3.11) took 1.2-3.6 ns per unit
+# (minus (2, 1000) costs 1.0e9 and took 1.4 s, base (2, 20000) 2.4e9 and
+# 3.1 s, plus (2, 1000) 3.1e9 and 3.7 s), and 0.4-2.0 s at the budget: minus
+# (2, 782) 0.55 s, (1000, 43) 1.25 s, (262143, 4) 2.0 s; base (2, 9112)
+# 0.40 s, (55804, 12) 1.2 s; plus (2, 539) 0.59 s, (9211, 12) 0.80 s.  The
+# widest box the tests and the benchmark use, plus (200, 16), costs 1.6e7.
+SCAN_BUDGET = 500_000_000
+
+
+def _support_scan(A_max: int, rules) -> list[list[tuple[int, int, int]]]:
+    """Hits (A, i, j) of P(A^i + a) = P(A^j + b) for 2 <= A <= A_max, one list per rule.
+
+    A rule (a, b, left, right) has signs a, b in {1, -1} and tests every i
+    in the range `left` against every j in the range `right`, or, when
+    `right` is None, against the j of `left` below i.  For each A the scan
+    forms A^e + s and its signature once for each (s, e) that a pair uses;
+    hits are listed by A, then in the rule's (i, j) order.  A box that
+    costs more than SCAN_BUDGET raises ValueError before anything is formed.
+    """
+    pairs = sum(
+        len(left) * (len(left) - 1) // 2 if right is None else len(left) * len(right)
+        for _, _, left, right in rules
+    )
+    top = max((r[-1] for _, _, left, right in rules for r in (left, right) if r), default=0)
+    bases = range(2, A_max + 1) if pairs else range(0)
+    cost = len(bases) * (2 * top + pairs) * (64 + top * A_max.bit_length())
+    if cost > SCAN_BUDGET:
+        raise ValueError(f"the scan box costs {cost:,} units, above the budget of {SCAN_BUDGET:,}")
+    # slot[(s, e)] is the index of A^e + s in `values`; each rule's pair
+    # tests are the index lists xs and ys, read in step.
+    slot: dict[tuple[int, int], int] = {}
+    tests = []
+    for a, b, left, right in rules:
+        xs, ys = [], []
+        for k, i in enumerate(left):
+            for j in left[:k] if right is None else right:
+                xs.append(slot.setdefault((a, i), len(slot)))
+                ys.append(slot.setdefault((b, j), len(slot)))
+        tests.append(([], xs, ys))
+    forms = list(slot)
+    for A in bases:
+        values = [A**e + s for s, e in forms]
+        sigs = [math.gcd(v, _PRIMORIAL) for v in values]
+        for hits, xs, ys in tests:
+            for x, y in zip(xs, ys):
+                if sigs[x] == sigs[y] and _same_support(values[x], values[y]):
+                    hits.append((A, forms[x][1], forms[y][1]))
+    return [hits for hits, _, _ in tests]
 
 
 def scan_minus_match(A_max: int, m_max: int) -> list[tuple[int, int, int]]:
@@ -106,14 +163,7 @@ def scan_minus_match(A_max: int, m_max: int) -> list[tuple[int, int, int]]:
 
     Every hit has m = 2, n = 1 and A of the form 2^j - 1.
     """
-    hits = []
-    for A in range(2, A_max + 1):
-        values = {e: A**e - 1 for e in range(1, m_max + 1)}
-        sigs = {e: math.gcd(v, _PRIMORIAL) for e, v in values.items()}
-        for m in range(2, m_max + 1):
-            for n in range(1, m):
-                if sigs[m] == sigs[n] and _same_support(values[m], values[n]):
-                    hits.append((A, m, n))
+    (hits,) = _support_scan(A_max, [(-1, -1, range(1, m_max + 1), None)])
     return hits
 
 
@@ -126,20 +176,11 @@ def scan_base_match(
     The first list is exactly {(2, 3)}; the second holds (A, 2) for
     A = 2^j + 1 only.
     """
-    odd_hits = []
-    even_hits = []
-    for A in range(2, A_max + 1):
-        base = A + 1
-        sig = math.gcd(base, _PRIMORIAL)
-        for p in range(3, exp_max + 1, 2):
-            v = A**p + 1
-            if math.gcd(v, _PRIMORIAL) == sig and _same_support(v, base):
-                odd_hits.append((A, p))
-        for q in range(2, exp_max + 1, 2):
-            v = A**q - 1
-            if math.gcd(v, _PRIMORIAL) == sig and _same_support(v, base):
-                even_hits.append((A, q))
-    return odd_hits, even_hits
+    odd_hits, even_hits = _support_scan(A_max, [
+        (1, 1, range(3, exp_max + 1, 2), range(1, 2)),
+        (-1, 1, range(2, exp_max + 1, 2), range(1, 2)),
+    ])
+    return [(A, p) for A, p, _ in odd_hits], [(A, q) for A, q, _ in even_hits]
 
 
 def scan_plus_match(
@@ -151,20 +192,10 @@ def scan_plus_match(
     The first list is exactly {(2, 3, 1)}.  The second consists of the
     families (3, 1, 1), (2, 3, 2), (3, 2, 4) and (2^j + 1, 1, 2).
     """
-    plus_plus = []
-    plus_minus = []
-    for A in range(2, A_max + 1):
-        plus = {e: A**e + 1 for e in range(1, m_max + 1)}
-        minus = {e: A**e - 1 for e in range(1, m_max + 1)}
-        plus_sig = {e: math.gcd(v, _PRIMORIAL) for e, v in plus.items()}
-        minus_sig = {e: math.gcd(v, _PRIMORIAL) for e, v in minus.items()}
-        for m in range(1, m_max + 1):
-            sig = plus_sig[m]
-            for n in range(1, m_max + 1):
-                if n < m and plus_sig[n] == sig and _same_support(plus[m], plus[n]):
-                    plus_plus.append((A, m, n))
-                if minus_sig[n] == sig and _same_support(plus[m], minus[n]):
-                    plus_minus.append((A, m, n))
+    exponents = range(1, m_max + 1)
+    plus_plus, plus_minus = _support_scan(
+        A_max, [(1, 1, exponents, None), (1, -1, exponents, exponents)]
+    )
     return plus_plus, plus_minus
 
 

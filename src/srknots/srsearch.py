@@ -11,9 +11,7 @@ polynomial (the mirror identity (m,l,p) ~ (m,-l,m-p) among others), so the
 peel runs over distinct polynomials and expands each solution into its
 alias certificates at the end.  Every certificate is then checked against
 the product formula: each alias's term-pair factor is formed once per call,
-and the product of a certificate's factors must equal the input.  That took
-the five-factor probe (10,080 certificates) from 3.4-6.5 s to 1.8-2.3 s on a
-2-core x86-64 VM under Python 3.11.
+and the product of a certificate's factors must equal the input.
 
 `classify` runs the obstruction pipeline: symmetry, the 2^s +- 1 test on
 delta2, the rigidity of delta2 = 1 polynomials, and finally the search.  A
@@ -52,10 +50,7 @@ DELTA2_ONE_QUARTIC = parse("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
 # Widest target `decompose` searches.  The key screen takes 2-7 ms on a cold
 # product of span 56-64 (2-core x86-64 VM, Python 3.11), but the parameter
 # triples, and with them the alias expansion and the certificates, grow about
-# as the cube of the span, so wider inputs are refused.  Each certificate is
-# checked as a product of its aliases' factors, each formed once per search:
-# the five-factor probe's 10,080 certificates went from 3.4-6.5 s to 1.8-2.3 s
-# when the check stopped rebuilding every factor of every certificate.
+# as the cube of the span, so wider inputs are refused.
 MAX_SEARCH_SPAN = 64
 
 
@@ -168,8 +163,7 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
     Each certificate is checked independently of the search: every alias's
     term-pair factor is formed once through `product_formula`, the product
     of a certificate's factors must equal dp, and any that does not raises
-    ArithmeticError.  Forming factors once, not per certificate, took the
-    five-factor probe from 3.4-6.5 s to 1.8-2.3 s (2-core x86-64 VM).
+    ArithmeticError.
     """
     target = dp.poly
     divisors = _divisors(target)

@@ -103,9 +103,10 @@ class TestPolyCommands:
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr
         # `poly eval` refuses that value by its power budget before it
-        # allocates, delta2 by its bit budget and `seifert check` by its
-        # block size budget.  The minus scan's values A^m - 1 for m up to
-        # 10^8 still run out of memory, which keeps the handler covered.
+        # allocates, delta2 by its bit budget, `seifert check` by its block
+        # size budget and the minus scan by its cost budget.  The det-powers
+        # index of (2^M - 1)^p (2^M + 1)^q for M <= 2000 and p, q <= 100
+        # still runs out of memory, which keeps the handler covered.
         done = fresh_process(
             "knot", "invariants", "--poly", "t^100000000000 + t - 2",
             timeout=60, preexec_fn=limit_memory,
@@ -124,6 +125,14 @@ class TestPolyCommands:
         )
         done = fresh_process(
             "nt", "scan", "--family", "minus", "--bounds", "2,100000000",
+            timeout=60, preexec_fn=limit_memory,
+        )
+        assert (done.returncode, done.stderr) == (1, (
+            "error: the scan box costs 1,000,000,350,000,009,600,000,000 units, "
+            "above the budget of 500,000,000\n"
+        ))
+        done = fresh_process(
+            "nt", "scan", "--family", "det-powers", "--bounds", "2000,100",
             timeout=60, preexec_fn=limit_memory,
         )
         assert (done.returncode, done.stderr) == (1, "error: out of memory\n")

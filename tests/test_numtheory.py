@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 
 import pytest
 
@@ -104,13 +105,18 @@ def reference_scan_plus(A_max, m_max):
     return plus_plus, plus_minus
 
 
+# Boxes with A_max and e_max in 0..3: rules with no pairs (base with no odd
+# p >= 3, minus with no m > n), and A = 2, 3 alone.
+EDGE_BOXES = [(A_max, e_max) for A_max in range(4) for e_max in range(4)]
+
+
 class TestScansMatchFactorization:
-    @pytest.mark.parametrize("bounds", [(50, 12), (40, 8), (60, 11)])
+    @pytest.mark.parametrize("bounds", [(50, 12), (40, 8), (60, 11)] + EDGE_BOXES)
     def test_minus_and_base(self, bounds):
         assert scan_minus_match(*bounds) == reference_scan_minus(*bounds)
         assert scan_base_match(*bounds) == reference_scan_base(*bounds)
 
-    @pytest.mark.parametrize("bounds", [(50, 12), (40, 8), (60, 11), (100, 12)])
+    @pytest.mark.parametrize("bounds", [(50, 12), (40, 8), (60, 11), (100, 12)] + EDGE_BOXES)
     def test_plus(self, bounds):
         assert scan_plus_match(*bounds) == reference_scan_plus(*bounds)
 
@@ -157,7 +163,7 @@ def divisibility_scan_plus(A_max, m_max):
 
 
 class TestSignaturePrefilter:
-    @pytest.mark.parametrize("bounds", [(50, 12), (60, 11), (100, 12), (40, 16)])
+    @pytest.mark.parametrize("bounds", [(50, 12), (60, 11), (100, 12), (40, 16)] + EDGE_BOXES)
     def test_scans_equal_the_unfiltered_ones(self, bounds):
         assert scan_minus_match(*bounds) == divisibility_scan_minus(*bounds)
         assert scan_base_match(*bounds) == divisibility_scan_base(*bounds)
@@ -179,6 +185,19 @@ class TestSignaturePrefilter:
         # 99 * (66 + 144) = 20,790 pairs in all.
         assert len(plus_plus) + len(plus_minus) <= len(calls) < 20_790 // 4
         assert all(math.gcd(x, _PRIMORIAL) == math.gcd(y, _PRIMORIAL) for x, y in calls)
+
+
+class TestScanBudget:
+    def test_oversized_boxes_are_refused_before_any_pair_test(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(numtheory, "_same_support", lambda x, y: calls.append((x, y)))
+        for scan in (scan_minus_match, scan_base_match, scan_plus_match):
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match=r"^the scan box costs [\d,]+ units, "
+                               r"above the budget of 500,000,000$"):
+                scan(2, 100_000_000)
+            assert time.perf_counter() - started < 1
+        assert calls == []
 
 
 def binary_search_iroot(n, k):
