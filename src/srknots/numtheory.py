@@ -116,6 +116,11 @@ def catalan_scan(
 SCAN_BUDGET = 500_000_000
 
 
+def _span(r: range) -> int:
+    """The length of a range with a positive step; len() stops at sys.maxsize."""
+    return max(0, -(-(r.stop - r.start) // r.step))
+
+
 def _support_scan(A_max: int, rules) -> list[list[tuple[int, int, int]]]:
     """Hits (A, i, j) of P(A^i + a) = P(A^j + b) for 2 <= A <= A_max, one list per rule.
 
@@ -123,20 +128,24 @@ def _support_scan(A_max: int, rules) -> list[list[tuple[int, int, int]]]:
     in the range `left` against every j in the range `right`, or, when
     `right` is None, against the j of `left` below i.  For each A the scan
     forms A^e + s and its signature once for each (s, e) that a pair uses;
-    hits are listed by A, then in the rule's (i, j) order.  A box that
-    costs more than SCAN_BUDGET raises ValueError before anything is formed.
+    hits are listed by A, then in the rule's (i, j) order.  A box with no
+    base or no pair is answered empty, and one that costs more than
+    SCAN_BUDGET raises ValueError, both before anything is formed.
     """
+    hits = [[] for _ in rules]
     pairs = sum(
-        len(left) * (len(left) - 1) // 2 if right is None else len(left) * len(right)
+        _span(left) * (_span(left) - 1) // 2 if right is None else _span(left) * _span(right)
         for _, _, left, right in rules
     )
-    top = max((r[-1] for _, _, left, right in rules for r in (left, right) if r), default=0)
-    bases = range(2, A_max + 1) if pairs else range(0)
-    cost = len(bases) * (2 * top + pairs) * (64 + top * A_max.bit_length())
+    if A_max < 2 or not pairs:
+        return hits
+    top = max(r[-1] for _, _, left, right in rules for r in (left, right) if r)
+    cost = (A_max - 1) * (2 * top + pairs) * (64 + top * A_max.bit_length())
     if cost > SCAN_BUDGET:
         raise ValueError(f"the scan box costs {cost:,} units, above the budget of {SCAN_BUDGET:,}")
     # slot[(s, e)] is the index of A^e + s in `values`; each rule's pair
-    # tests are the index lists xs and ys, read in step.
+    # tests are two slot-index lists read in step, which beat values
+    # indexed by exponent on the base family's few pairs per A.
     slot: dict[tuple[int, int], int] = {}
     tests = []
     for a, b, left, right in rules:
@@ -145,16 +154,16 @@ def _support_scan(A_max: int, rules) -> list[list[tuple[int, int, int]]]:
             for j in left[:k] if right is None else right:
                 xs.append(slot.setdefault((a, i), len(slot)))
                 ys.append(slot.setdefault((b, j), len(slot)))
-        tests.append(([], xs, ys))
+        tests.append((xs, ys))
     forms = list(slot)
-    for A in bases:
+    for A in range(2, A_max + 1):
         values = [A**e + s for s, e in forms]
         sigs = [math.gcd(v, _PRIMORIAL) for v in values]
-        for hits, xs, ys in tests:
+        for found, (xs, ys) in zip(hits, tests):
             for x, y in zip(xs, ys):
                 if sigs[x] == sigs[y] and _same_support(values[x], values[y]):
-                    hits.append((A, forms[x][1], forms[y][1]))
-    return [hits for hits, _, _ in tests]
+                    found.append((A, forms[x][1], forms[y][1]))
+    return hits
 
 
 def scan_minus_match(A_max: int, m_max: int) -> list[tuple[int, int, int]]:

@@ -188,16 +188,26 @@ class TestSignaturePrefilter:
 
 
 class TestScanBudget:
-    def test_oversized_boxes_are_refused_before_any_pair_test(self, monkeypatch):
+    SCANS = (scan_minus_match, scan_base_match, scan_plus_match)
+
+    # e_max = 2^64 is above sys.maxsize, where len() of a range stops.
+    @pytest.mark.parametrize("bounds", [(2, 100_000_000), (2, 2**64), (2**64, 3)])
+    def test_oversized_boxes_are_refused_before_any_pair_test(self, monkeypatch, bounds):
         calls = []
         monkeypatch.setattr(numtheory, "_same_support", lambda x, y: calls.append((x, y)))
-        for scan in (scan_minus_match, scan_base_match, scan_plus_match):
+        for scan in self.SCANS:
             started = time.perf_counter()
             with pytest.raises(ValueError, match=r"^the scan box costs [\d,]+ units, "
                                r"above the budget of 500,000,000$"):
-                scan(2, 100_000_000)
+                scan(*bounds)
             assert time.perf_counter() - started < 1
         assert calls == []
+
+    @pytest.mark.parametrize("bounds", [(1, 100_000_000), (0, 100_000_000), (1, 2**64)])
+    def test_boxes_without_a_base_are_answered_empty_at_once(self, bounds):
+        started = time.perf_counter()
+        assert [scan(*bounds) for scan in self.SCANS] == [[], ([], []), ([], [])]
+        assert time.perf_counter() - started < 1
 
 
 def binary_search_iroot(n, k):
