@@ -84,19 +84,42 @@ def _iroot(n: int, k: int) -> int:
         r = s
 
 
+# The cost of a `catalan_scan` box, from its bounds alone: every (x, u) and
+# every v up to top = u_max * bitlen(x_max), the bit bound of x^u, each root
+# counted as 64 plus top bits.  Single in-process runs (2-core x86-64 VM,
+# Python 3.11) took 0.9-12.5 ns per unit, more for many small values than
+# for few wide ones, and 0.34-1.21 s at the budget: (2, -, 4984, 3) 0.36 s,
+# (2, -, 1116, 40) 0.58 s, (20, -, 229, 20) 0.75 s, (100, -, 56, 40) 1.21 s,
+# (1000, -, 20, 20) 1.13 s, (10^6, -, 2, 2) 0.88 s (y_max costs nothing).
+# The widest box the tests and the benchmark use, (120, 120, 8, 8), costs
+# 7.0e5.
+CATALAN_BUDGET = 100_000_000
+
+
 def catalan_scan(
     x_max: int, y_max: int, u_max: int, v_max: int
 ) -> list[tuple[int, int, int, int]]:
     """All solutions of x^u - y^v = 1 with x, y > 0 and u, v > 1 in the box.
 
     Returned as (x, u, y, v) tuples; any box containing (3, 2, 2, 3) yields
-    exactly that one solution.
+    exactly that one solution.  Since y >= 2 gives y^v >= 2^v, v stops below
+    the bit length of x^u - 1.  A box with a bound below 2 is answered
+    empty, and one that costs more than CATALAN_BUDGET raises ValueError,
+    both before anything is formed.
     """
     hits = []
+    if min(x_max, y_max, u_max, v_max) < 2:
+        return hits
+    top = u_max * x_max.bit_length()
+    cost = (x_max - 1) * (u_max - 1) * min(v_max - 1, top) * (64 + top)
+    if cost > CATALAN_BUDGET:
+        raise ValueError(
+            f"the scan box costs {cost:,} units, above the budget of {CATALAN_BUDGET:,}"
+        )
     for x in range(2, x_max + 1):
         for u in range(2, u_max + 1):
             target = x**u - 1
-            for v in range(2, v_max + 1):
+            for v in range(2, min(v_max + 1, target.bit_length())):
                 y = _iroot(target, v)
                 if y <= y_max and y**v == target:
                     hits.append((x, u, y, v))

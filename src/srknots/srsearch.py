@@ -4,12 +4,14 @@
 unit-equivalent to the input (with trivial base).  Exponent spans are
 additive under multiplication and every usable factor has span >= 2, so
 the parameters of factor span at most the input's span are a complete set.
-The search walks their keys (m, p + l, p mod 2), forms only the factors
-whose closed-form values at t = -1, 3 and 2 divide the input's, keeping no
+A factor depends only on the key (m, p + l, p mod 2), and the mirror
+identity (m,l,p) ~ (m,-l,m-p) pairs the keys.  The search walks one key of
+each pair, with spans from `factor_span`, forms only the factors whose
+closed-form values at t = -1, 3 and 2 divide the input's, keeping no
 table, and peels by those that divide it.  Many triples share one factor
-polynomial (the mirror identity (m,l,p) ~ (m,-l,m-p) among others), so the
-peel runs over distinct polynomials and expands each solution into its
-alias certificates at the end.  Every certificate is then checked against
+polynomial (a key's aliases, their `mirror`s, and two pairs of keys more),
+so the peel runs over distinct polynomials and expands each solution into
+its alias certificates at the end.  Every certificate is then checked against
 the product formula: each alias's term-pair factor is formed once per call,
 and the product of a certificate's factors must equal the input.
 
@@ -31,7 +33,9 @@ from typing import Optional, Tuple
 
 from .invariants import delta2, is_pm_power_product, symmetry_check
 from .laurent import LaurentPoly, NormalForm, divide_exact, eval_int, parse
-from .srpoly import F_factor, SRDecomposition, SRParams, gh_factors, product_formula
+from .srpoly import (
+    F_factor, SRDecomposition, SRParams, factor_span, gh_factors, mirror, product_formula
+)
 
 __all__ = [
     "Verdict",
@@ -79,19 +83,6 @@ class SRClassification:
             raise ValueError("POLY_COMPATIBLE requires at least one certificate")
 
 
-def _layer_keys(h: int) -> list[tuple[int, int, int]]:
-    """Every key (m, s, p mod 2) whose factor has span exactly 2h >= 2.
-
-    Straight from `factor_span`'s cases: the two cancellations at m = h + 1,
-    then s = m - h < 0 and s = h > m for m < h, then 0 <= s <= m = h.
-    """
-    keys = [(h + 1, 0, 0), (h + 1, h + 1, (h + 1) % 2)]
-    keys += [(m, s, par) for m in range(1, h) for s in (m - h, h) for par in (0, 1)]
-    cancelled = ((0, 0), (h, h % 2))  # (s, par) of span 2h - 2 at m = h
-    keys += [(h, s, par) for s in range(h + 1) for par in (0, 1) if (s, par) not in cancelled]
-    return keys
-
-
 def _factor_value(m: int, s: int, par: int, h: int, x: int) -> int:
     """|F(x)| = |x^h f(x) f(1/x)| for the key's factor, of span 2h, in integers.
 
@@ -118,35 +109,39 @@ def _divisors(target: LaurentPoly) -> list[tuple[LaurentPoly, tuple[SRParams, ..
 
     f(t; m, l, p) = (1 - t)^m - (-1)^p t^(p+l) depends only on the key
     (m, s = p + l, p mod 2), whose aliases are p = par, par + 2, ... <= m.
-    Before its factor F is formed, a key must pass three necessary integer
-    tests: |F(-1)| >= 1 divides the target's determinant, and |F(3)| and
-    |F(2)| divide its values there.  A key and its mirror (m, m - s,
-    (m - par) mod 2) share F, so the one that sorts first stands for both.
+    |F(-1)| depends only on m and l mod 2, so each (m, l mod 2) whose value
+    does not divide the target's determinant is dropped whole.  The key
+    (m, s, par) and its mirror (m, m - s, (m - par) mod 2) share F and
+    l mod 2, so s runs only up to m / 2; its low end is the least s whose
+    `factor_span` fits the target.  A key must then pass two more integer
+    tests, |F(3)| and |F(2)| dividing the target's values there, before F is
+    formed; the aliases of a dividing F are its keys' and their `mirror`s.
     """
     if target.span > MAX_SEARCH_SPAN:
         raise ValueError(f"span {target.span} is above the search budget of {MAX_SEARCH_SPAN}")
     det = abs(eval_int(target, -1))
     at_2, at_3 = abs(eval_int(target, 2)), abs(eval_int(target, 3))
-    ms = range(1, target.span // 2 + 2)
-    dets = {(m, l_par) for m in ms for l_par in (0, 1) if det and det % _det_value(m, l_par) == 0}
+    half = target.span // 2
     groups: dict[LaurentPoly, list[tuple[int, int, int]]] = {}
-    for h in range(1, target.span // 2 + 1):
-        for m, s, par in _layer_keys(h):
-            if (m, (s - par) % 2) not in dets or (m - s, (m - par) % 2) < (s, par):
-                continue
-            if at_3 % _factor_value(m, s, par, h, 3):
+    for m, l_par in product(range(1, half + 2), (0, 1)):
+        if not det or det % _det_value(m, l_par):
+            continue
+        for s in range(min(0, m - half), m // 2 + 1):
+            par = (s - l_par) % 2
+            prm = SRParams(m, s - par, par)
+            h = factor_span(prm) // 2
+            if not 1 <= h <= half or at_3 % _factor_value(m, s, par, h, 3):
                 continue
             f_2 = _factor_value(m, s, par, h, 2)
             if at_2 % f_2 if f_2 else at_2:
                 continue
-            f = F_factor(SRParams(m, s - par, par)).poly
-            groups.setdefault(f, []).extend([(m, s, par), (m, m - s, (m - par) % 2)])
+            groups.setdefault(F_factor(prm).poly, []).append((m, s, par))
     found = []
     for f, keys in groups.items():
         quotient = divide_exact(target, f)
         if quotient is not None:
-            aliases = sorted({(m, s - p, p) for m, s, par in keys for p in range(par, m + 1, 2)})
-            found.append((f, tuple(SRParams(*a) for a in aliases), quotient))
+            aliases = [SRParams(m, s - p, p) for m, s, par in keys for p in range(par, m + 1, 2)]
+            found.append((f, tuple(sorted({*aliases, *map(mirror, aliases)})), quotient))
     found.sort(key=lambda d: (d[0].span, d[1]))
     return found
 

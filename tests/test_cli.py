@@ -313,6 +313,21 @@ class TestNtCommands:
         code, out, _ = run(capsys, "nt", "scan", "--family", "catalan", "--bounds", "10,10,5,5")
         assert code == 0 and out == "hits=(3,2,2,3)\n"
 
+    def test_catalan_scan_above_the_budget_exits_1(self, capsys):
+        code, out, err = run(capsys, "nt", "scan", "--family", "catalan",
+                             "--bounds", "2,2,100000000,2")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the scan box costs 20,000,006,199,999,936 units, "
+            "above the budget of 100,000,000\n"
+        )
+
+    @pytest.mark.parametrize("bounds, hits", [("100,100,7,100000000", "(3,2,2,3)"),
+                                              ("3,2,100000000,1", "")])
+    def test_catalan_scan_with_a_wide_bound_answers(self, capsys, bounds, hits):
+        code, out, _ = run(capsys, "nt", "scan", "--family", "catalan", "--bounds", bounds)
+        assert (code, out) == (0, f"hits={hits}\n")
+
     def test_det_powers_scan(self, capsys):
         code, out, _ = run(capsys, "nt", "scan", "--family", "det-powers", "--bounds", "8,4")
         assert code == 0

@@ -253,6 +253,18 @@ class TestIntegerRoot:
             _iroot(-1, 3)
 
 
+def full_catalan_scan(x_max, y_max, u_max, v_max):
+    """One integer root for every (x, u, v) in the box: the scan without its v stop or budget."""
+    hits = []
+    for x in range(2, x_max + 1):
+        for u in range(2, u_max + 1):
+            for v in range(2, v_max + 1):
+                y = _iroot(x**u - 1, v)
+                if y <= y_max and y**v == x**u - 1:
+                    hits.append((x, u, y, v))
+    return sorted(hits)
+
+
 class TestCatalanScan:
     def test_standard_box(self):
         assert catalan_scan(10, 10, 5, 5) == [(3, 2, 2, 3)]
@@ -262,6 +274,36 @@ class TestCatalanScan:
 
     def test_large_box(self):
         assert catalan_scan(100, 100, 7, 7) == [(3, 2, 2, 3)]
+
+    def test_pruned_scan_matches_the_full_loop(self):
+        rng = random.Random(16)
+        for _ in range(60):
+            bounds = tuple(rng.randint(0, 24) for _ in range(4))
+            assert catalan_scan(*bounds) == full_catalan_scan(*bounds), bounds
+
+    def test_wide_exponent_box_is_prompt(self):
+        # No v above the bit length of x^u - 1 can hit, so v_max = 10^8
+        # costs what v_max = 49 does.
+        started = time.perf_counter()
+        assert catalan_scan(100, 100, 7, 100_000_000) == [(3, 2, 2, 3)]
+        assert time.perf_counter() - started < 1
+
+    @pytest.mark.parametrize("bounds", [(3, 2, 100_000_000, 1), (1, 100, 7, 7), (100, 0, 7, 7),
+                                        (2**64, 2**64, 2**64, 1)])
+    def test_boxes_with_a_bound_below_two_are_answered_empty_at_once(self, monkeypatch, bounds):
+        monkeypatch.setattr(numtheory, "_iroot", lambda n, k: pytest.fail("formed a root"))
+        started = time.perf_counter()
+        assert catalan_scan(*bounds) == []
+        assert time.perf_counter() - started < 1
+
+    @pytest.mark.parametrize("bounds", [(2, 2, 100_000_000, 2), (2**64, 2, 2, 2), (121, 121, 200, 200)])
+    def test_oversized_boxes_are_refused_before_any_root(self, monkeypatch, bounds):
+        monkeypatch.setattr(numtheory, "_iroot", lambda n, k: pytest.fail("formed a root"))
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^the scan box costs [\d,]+ units, "
+                           r"above the budget of 100,000,000$"):
+            catalan_scan(*bounds)
+        assert time.perf_counter() - started < 1
 
 
 class TestMinusMatchScan:

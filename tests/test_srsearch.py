@@ -282,38 +282,29 @@ class TestCandidateTable:
             assert found == expected, str(target)
         assert set(range(2, srsearch.MAX_SEARCH_SPAN + 1, 2)) <= spans
 
-    def test_layer_keys_match_brute_force(self):
-        # factor_span is at least 2 max(m - 1, |s|), so every key of span 2h
-        # has m <= h + 1 and |s| <= h; the loops run one past both bounds.
-        for h in range(1, srsearch.MAX_SEARCH_SPAN // 2 + 1):
-            expected = {
-                (m, s, par)
-                for m in range(1, h + 3)
-                for s in range(-h - 1, h + 2)
-                for par in (0, 1)
-                if factor_span(SRParams(m, s - par, par)) == 2 * h
-            }
-            keys = srsearch._layer_keys(h)
-            assert len(keys) == len(set(keys)), h
-            assert set(keys) == expected, h
+    @pytest.mark.parametrize("span", [2, 10, 32, 64])
+    def test_walk_lists_every_key_of_the_triple_loop(self, monkeypatch, span):
+        # With every value test and division passing, the walk must list the
+        # whole reference table up to the target's span, aliases included.
+        monkeypatch.setattr(srsearch, "_det_value", lambda *key: 1)
+        monkeypatch.setattr(srsearch, "_factor_value", lambda *key: 1)
+        monkeypatch.setattr(srsearch, "divide_exact", lambda a, b: LaurentPoly.one())
+        found = [(f, aliases) for f, aliases, _ in srsearch._divisors(parse(f"1 + t^{span}"))]
+        assert found == list(reference_candidates(span))
 
     def test_span_64_counts(self):
-        groups = {}
-        for h in range(1, 33):
-            for m, s, par in srsearch._layer_keys(h):
-                aliases = groups.setdefault(F_factor(SRParams(m, s - par, par)).poly, set())
-                aliases.update(SRParams(m, s - p, p) for p in range(par, m + 1, 2))
-        assert len(groups) == 1566
-        assert sum(map(len, groups.values())) == 24464
+        table = reference_candidates(64)
+        assert len(table) == 1566
+        assert sum(len(aliases) for _, aliases in table) == 24464
 
     def test_closed_form_values(self):
-        for h in range(1, srsearch.MAX_SEARCH_SPAN // 2 + 1):
-            for m, s, par in srsearch._layer_keys(h):
-                f = F_factor(SRParams(m, s - par, par)).poly
-                key = (m, s, par)
-                assert srsearch._det_value(m, (s - par) % 2) == abs(eval_int(f, -1)), key
+        for f, aliases in reference_candidates(srsearch.MAX_SEARCH_SPAN):
+            values = {x: abs(eval_int(f, x)) for x in (-1, 2, 3)}
+            for prm in aliases:
+                key = (prm.m, prm.p + prm.l, prm.p % 2)
+                assert srsearch._det_value(prm.m, prm.l % 2) == values[-1], key
                 for x in (2, 3):
-                    assert srsearch._factor_value(m, s, par, h, x) == abs(eval_int(f, x)), (key, x)
+                    assert srsearch._factor_value(*key, f.span // 2, x) == values[x], (key, x)
 
     def test_inexact_value_raises(self):
         # With h one short, (1 - 2x)(x - 2) must be divisible by x; at x = 3 it is -5.
