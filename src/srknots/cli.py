@@ -296,7 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.command(args) or 0
-    except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -51,7 +51,7 @@ class PolyParseError(ValueError):
 class LaurentPoly:
     """An immutable Laurent polynomial with integer coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __new__(cls, terms: Optional[Mapping[int, int]] = None):
         return cls._adopt({e: c for e, c in terms.items() if c} if terms else {})
@@ -66,7 +66,6 @@ class LaurentPoly:
         """Wrap `terms` without copying; it must hold no zero coefficients."""
         out = object.__new__(cls)
         object.__setattr__(out, "_terms", terms)
-        object.__setattr__(out, "_hash", None)
         return out
 
     @classmethod
@@ -132,15 +131,10 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            terms = self._terms
-            if terms.keys() <= {0}:  # a constant equals its int, so hashes as it
-                h = hash(terms.get(0, 0))
-            else:
-                h = hash(tuple(sorted(terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        terms = self._terms
+        if terms.keys() <= {0}:  # a constant equals its int, so hashes as it
+            return hash(terms.get(0, 0))
+        return hash(tuple(sorted(terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)

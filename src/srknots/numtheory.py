@@ -27,8 +27,10 @@ powers.  Hits and their order are those of the powers alone.  One cost,
 counted from the bounds before any value is formed, refuses a box above
 SCAN_BUDGET with ValueError.
 
-All scans run on exact big integers; they are verification harnesses over
-finite boxes, not proofs.
+`catalan_scan` and `scan_det_power_products` have budgets of their own,
+CATALAN_BUDGET and DET_BUDGET, so every family refuses an oversized box
+before it forms a value.  All scans run on exact big integers; they are
+verification harnesses over finite boxes, not proofs.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ def _same_support(x: int, y: int) -> bool:
     1 has empty support, so it matches only 1.
     """
     return pow(y, x.bit_length(), x) == 0 and pow(x, y.bit_length(), y) == 0
+
+
+def _within_budget(cost: int, budget: int) -> None:
+    """Refuse a scan box whose cost, counted from its bounds, is above budget."""
+    if cost > budget:
+        raise ValueError(f"the scan box costs {cost:,} units, above the budget of {budget:,}")
 
 
 def _iroot(n: int, k: int) -> int:
@@ -111,11 +119,7 @@ def catalan_scan(
     if min(x_max, y_max, u_max, v_max) < 2:
         return hits
     top = u_max * x_max.bit_length()
-    cost = (x_max - 1) * (u_max - 1) * min(v_max - 1, top) * (64 + top)
-    if cost > CATALAN_BUDGET:
-        raise ValueError(
-            f"the scan box costs {cost:,} units, above the budget of {CATALAN_BUDGET:,}"
-        )
+    _within_budget((x_max - 1) * (u_max - 1) * min(v_max - 1, top) * (64 + top), CATALAN_BUDGET)
     for x in range(2, x_max + 1):
         for u in range(2, u_max + 1):
             target = x**u - 1
@@ -163,9 +167,7 @@ def _support_scan(A_max: int, rules) -> list[list[tuple[int, int, int]]]:
     if A_max < 2 or not pairs:
         return hits
     top = max(r[-1] for _, _, left, right in rules for r in (left, right) if r)
-    cost = (A_max - 1) * (2 * top + pairs) * (64 + top * A_max.bit_length())
-    if cost > SCAN_BUDGET:
-        raise ValueError(f"the scan box costs {cost:,} units, above the budget of {SCAN_BUDGET:,}")
+    _within_budget((A_max - 1) * (2 * top + pairs) * (64 + top * A_max.bit_length()), SCAN_BUDGET)
     # slot[(s, e)] is the index of A^e + s in `values`; each rule's pair
     # tests are two slot-index lists read in step, which beat values
     # indexed by exponent on the base family's few pairs per A.
@@ -231,6 +233,19 @@ def scan_plus_match(
     return plus_plus, plus_minus
 
 
+# The cost of a `scan_det_power_products` box, from its bounds alone: each
+# of its M_max ((exp_max + 1)^2 - 1) values counted as 64 plus the
+# 2 M_max exp_max bits that bound it, and 400 units for each of the about
+# (exp_max + 1)^3 ordered pairs of keys (1, p, q) that share a value, since
+# 2^1 - 1 = 1.  Single runs in fresh processes (2-core x86-64 VM, Python
+# 3.11) took 0.5-0.9 ns per value unit and 210-400 ns per pair ((2, 500) took
+# 34 s), and 0.53-0.72 s, at a peak of 23-80 MB, at the budget: (2, 133),
+# (10, 117), (22, 88), (50, 56), (100, 35), (238, 19), (643, 10), (1687, 5)
+# and (12893, 1).  The widest box the tests and the benchmark use, (24, 10),
+# costs 2.1e6.
+DET_BUDGET = 1_000_000_000
+
+
 # The kind of a key (M, p, q) of `scan_det_power_products`, and the shape
 # index of each left kind + right kind that is one of its six shapes.
 _DET_SHAPES = {"--": 0, "++": 1, "+-": 2, "**": 3, "*-": 4, "*+": 5}
@@ -257,9 +272,13 @@ def scan_det_power_products(M_max: int, exp_max: int):
     its keys (M, p, q).  A key's kind is "-" for q = 0, "+" for p = 0 and
     "*" otherwise.  Each ordered pair of keys of one value with M != N whose
     kinds name a shape is a hit, kept only for M > N when the kinds agree.
+    A box that costs more than DET_BUDGET raises ValueError before the index
+    is built.
     """
     if M_max < 2 or exp_max < 1:
         raise ValueError("bounds too small")
+    values = M_max * ((exp_max + 1) ** 2 - 1)
+    _within_budget(values * (64 + 2 * M_max * exp_max) + 400 * (exp_max + 1) ** 3, DET_BUDGET)
     keys: dict[int, list[tuple[int, int, int]]] = {}
     for M in range(1, M_max + 1):
         lo, hi = (1 << M) - 1, (1 << M) + 1

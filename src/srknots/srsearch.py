@@ -7,8 +7,8 @@ the parameters of factor span at most the input's span are a complete set.
 A factor depends only on the key (m, p + l, p mod 2), and the mirror
 identity (m,l,p) ~ (m,-l,m-p) pairs the keys.  The search walks one key of
 each pair, with spans from `factor_span`, forms only the factors whose
-closed-form values at t = -1, 3 and 2 divide the input's, keeping no
-table, and peels by those that divide it.  Many triples share one factor
+closed-form values at t = -1 and 3 divide the input's, keeping no table,
+and peels by those that divide it.  Many triples share one factor
 polynomial (a key's aliases, their `mirror`s, and two pairs of keys more),
 so the peel runs over distinct polynomials and expands each solution into
 its alias certificates at the end.  Every certificate is then checked against
@@ -113,14 +113,13 @@ def _divisors(target: LaurentPoly) -> list[tuple[LaurentPoly, tuple[SRParams, ..
     does not divide the target's determinant is dropped whole.  The key
     (m, s, par) and its mirror (m, m - s, (m - par) mod 2) share F and
     l mod 2, so s runs only up to m / 2; its low end is the least s whose
-    `factor_span` fits the target.  A key must then pass two more integer
-    tests, |F(3)| and |F(2)| dividing the target's values there, before F is
-    formed; the aliases of a dividing F are its keys' and their `mirror`s.
+    `factor_span` fits the target.  A key must then pass one more integer
+    test, |F(3)| dividing the target's value there, before F is formed; the
+    aliases of a dividing F are its keys' and their `mirror`s.
     """
     if target.span > MAX_SEARCH_SPAN:
         raise ValueError(f"span {target.span} is above the search budget of {MAX_SEARCH_SPAN}")
-    det = abs(eval_int(target, -1))
-    at_2, at_3 = abs(eval_int(target, 2)), abs(eval_int(target, 3))
+    det, at_3 = abs(eval_int(target, -1)), abs(eval_int(target, 3))
     half = target.span // 2
     groups: dict[LaurentPoly, list[tuple[int, int, int]]] = {}
     for m, l_par in product(range(1, half + 2), (0, 1)):
@@ -131,9 +130,6 @@ def _divisors(target: LaurentPoly) -> list[tuple[LaurentPoly, tuple[SRParams, ..
             prm = SRParams(m, s - par, par)
             h = factor_span(prm) // 2
             if not 1 <= h <= half or at_3 % _factor_value(m, s, par, h, 3):
-                continue
-            f_2 = _factor_value(m, s, par, h, 2)
-            if at_2 % f_2 if f_2 else at_2:
                 continue
             groups.setdefault(F_factor(prm).poly, []).append((m, s, par))
     found = []
@@ -185,7 +181,7 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
     # is a normal form, so unit equivalence with the target is plain equality.
     factors = {prm: product_formula(SRDecomposition((prm,))).poly for prm in set(chain(*results))}
     for dec in results:
-        if prod((factors[prm] for prm in dec), start=LaurentPoly.one()) != target:
+        if prod(factors[prm] for prm in dec) != target:
             raise ArithmeticError(f"certificate {dec} does not regenerate {target}")
     return results
 

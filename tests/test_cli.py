@@ -88,7 +88,7 @@ class TestPolyCommands:
         code, _, err = run(capsys, "poly", "normalize", "--poly", "t - t")
         assert code == 1 and "error:" in err
 
-    def test_out_of_memory_is_a_clean_error(self, fresh_process):
+    def test_out_of_memory_is_a_clean_error(self, fresh_process, capsys, monkeypatch):
         resource = pytest.importorskip("resource")
 
         def limit_memory():
@@ -104,9 +104,8 @@ class TestPolyCommands:
         assert "Traceback" not in done.stderr
         # `poly eval` refuses that value by its power budget before it
         # allocates, delta2 by its bit budget, `seifert check` by its block
-        # size budget and the minus scan by its cost budget.  The det-powers
-        # index of (2^M - 1)^p (2^M + 1)^q for M <= 2000 and p, q <= 100
-        # still runs out of memory, which keeps the handler covered.
+        # size budget and the minus and det-powers scans by their cost
+        # budgets, so the handler is reached in-process at the end.
         done = fresh_process(
             "knot", "invariants", "--poly", "t^100000000000 + t - 2",
             timeout=60, preexec_fn=limit_memory,
@@ -135,7 +134,19 @@ class TestPolyCommands:
             "nt", "scan", "--family", "det-powers", "--bounds", "2000,100",
             timeout=60, preexec_fn=limit_memory,
         )
-        assert (done.returncode, done.stderr) == (1, "error: out of memory\n")
+        assert (done.returncode, done.stderr) == (1, (
+            "error: the scan box costs 8,161,717,720,400 units, "
+            "above the budget of 1,000,000,000\n"
+        ))
+
+        def exhausted(*bounds):
+            raise MemoryError
+
+        count, _, labels = cli._SCANS["det-powers"]
+        monkeypatch.setitem(cli._SCANS, "det-powers", (count, exhausted, labels))
+        assert run(capsys, "nt", "scan", "--family", "det-powers", "--bounds", "20,8") == (
+            1, "", "error: out of memory\n"
+        )
 
 
 class TestSrCommands:
@@ -327,6 +338,14 @@ class TestNtCommands:
     def test_catalan_scan_with_a_wide_bound_answers(self, capsys, bounds, hits):
         code, out, _ = run(capsys, "nt", "scan", "--family", "catalan", "--bounds", bounds)
         assert (code, out) == (0, f"hits={hits}\n")
+
+    @pytest.mark.parametrize("bounds, cost", [("2000,100", "8,161,717,720,400"),
+                                              ("400,60", "71,610,024,400"),
+                                              ("2,2000", "3,269,378,912,400")])
+    def test_det_powers_scan_above_the_budget_exits_1(self, capsys, bounds, cost):
+        code, out, err = run(capsys, "nt", "scan", "--family", "det-powers", "--bounds", bounds)
+        assert (code, out) == (1, "")
+        assert err == f"error: the scan box costs {cost} units, above the budget of 1,000,000,000\n"
 
     def test_det_powers_scan(self, capsys):
         code, out, _ = run(capsys, "nt", "scan", "--family", "det-powers", "--bounds", "8,4")

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -372,11 +373,14 @@ def reference_det_power_products(M_max, exp_max):
 
 class TestDetPowerProducts:
     def test_matches_the_per_shape_collisions(self):
-        # The acceptance box, the paper_grid boxes at seed 61, two tiny
-        # boxes and seeded ones.  M = 1 is in every box: 2^1 - 1 = 1, so
-        # each (1, p, q) product is 3^q whatever p is.
+        # The acceptance box, the paper_grid boxes at seed 61 and the
+        # corners of all its boxes (20 +- 4, 8 +- 2), the CLI test boxes, two
+        # tiny boxes and seeded ones; all are inside the budget.  M = 1 is
+        # in every box: 2^1 - 1 = 1, so each (1, p, q) product is 3^q
+        # whatever p is.
         rng = random.Random(19)
-        boxes = [(20, 8), (17, 9), (2, 1), (3, 3)]
+        boxes = [(20, 8), (17, 9), (8, 4), (12, 4), (2, 1), (3, 3)]
+        boxes += [(M, e) for M in (16, 24) for e in (6, 10)]
         boxes += [(rng.randint(2, 24), rng.randint(1, 10)) for _ in range(30)]
         for box in boxes:
             assert scan_det_power_products(*box) == reference_det_power_products(*box), box
@@ -390,6 +394,23 @@ class TestDetPowerProducts:
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             scan_det_power_products(1, 4)
+
+    @pytest.mark.parametrize("bounds", [(2000, 100), (400, 60), (2, 2000), (2, 200)])
+    def test_oversized_boxes_are_refused_before_the_index(self, bounds):
+        # The first three boxes' value indexes would take gigabytes; (2, 200)
+        # is over the budget by its 8 million pairs of M = 1 keys alone.
+        # Refused, a box forms no value.
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match=r"^the scan box costs [\d,]+ units, "
+                               r"above the budget of 1,000,000,000$"):
+                scan_det_power_products(*bounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - started < 1
+        assert peak < 2**16
 
     def test_consistency_with_admissible_pairs(self):
         # Every cross-base coincidence of determinant shapes must involve an
