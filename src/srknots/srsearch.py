@@ -11,9 +11,12 @@ closed-form values at t = -1 and 3 divide the input's, keeping no table,
 and peels by those that divide it.  Many triples share one factor
 polynomial (a key's aliases, their `mirror`s, and two pairs of keys more),
 so the peel runs over distinct polynomials and expands each solution into
-its alias certificates at the end.  Every certificate is then checked against
-the product formula: each alias's term-pair factor is formed once per call,
-and the product of a certificate's factors must equal the input.
+its alias certificates at the end.  Two checks, independent of the search,
+cover every certificate: the factor polynomials of each solution must
+multiply to the input, and each alias of a polynomial some solution uses must
+give that polynomial as its term-pair product.  A certificate's product is
+then its solution's, the input, at a cost of one product per solution and one
+term-pair factor per alias, not one product per certificate.
 
 `classify` runs the obstruction pipeline: symmetry, the 2^s +- 1 test on
 delta2, the rigidity of delta2 = 1 polynomials, and finally the search.  A
@@ -151,18 +154,26 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
     certificate per choice of aliases.  Targets wider than MAX_SEARCH_SPAN
     raise ValueError.
 
-    Each certificate is checked independently of the search: every alias's
-    term-pair factor is formed once through `product_formula`, the product
-    of a certificate's factors must equal dp, and any that does not raises
+    Every certificate is checked independently of the divisions: the
+    product of each solution's factor polynomials must equal dp, and each
+    alias of a polynomial some solution uses must give it through
+    `product_formula`, the term-pair product.  Together these make every
+    certificate's term-pair product equal dp; a failure of either raises
     ArithmeticError.
     """
     target = dp.poly
     divisors = _divisors(target)
     results: list[SRDecomposition] = []
+    used: set[int] = set()  # the divisors some solution uses
 
     def peel(cur: LaurentPoly, start: int, acc: list[int], quotients):
         """quotients yields cur / divisors[idx] (or None) for idx = start, start + 1, ..."""
         if cur == 1:
+            # One multiplication checks the divisions; a product of normal forms
+            # is a normal form, so unit equivalence is plain equality.
+            if prod(divisors[idx][0] for idx in acc) != target:
+                raise ArithmeticError(f"solution {acc} does not regenerate {target}")
+            used.update(acc)
             picks = (
                 combinations_with_replacement(divisors[idx][1], k)
                 for idx, k in Counter(acc).items()
@@ -177,12 +188,13 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
 
     peel(target, 0, [], [quotient for _, _, quotient in divisors])
     results.sort(key=lambda d: d.factors)
-    # Each alias's term-pair factor is formed once; a product of normal forms
-    # is a normal form, so unit equivalence with the target is plain equality.
-    factors = {prm: product_formula(SRDecomposition((prm,))).poly for prm in set(chain(*results))}
-    for dec in results:
-        if prod(factors[prm] for prm in dec) != target:
-            raise ArithmeticError(f"certificate {dec} does not regenerate {target}")
+    # Every alias of a used divisor must give its polynomial as its term-pair
+    # factor, so every certificate's product is some solution's, the target.
+    for idx in sorted(used):
+        f, aliases, _ = divisors[idx]
+        for prm in aliases:
+            if product_formula(SRDecomposition((prm,))).poly != f:
+                raise ArithmeticError(f"alias {prm} does not regenerate {f}")
     return results
 
 

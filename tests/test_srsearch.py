@@ -214,7 +214,7 @@ def product_factor(prm):
 
 
 @functools.lru_cache(maxsize=None)
-def reference_candidates(max_span):
+def reference_keys(max_span):
     """(factor polynomial, sorted aliases) for 2 <= span <= max_span, sorted by (span, aliases).
 
     From the cubic loop over triples, one term-pair product per triple.
@@ -268,7 +268,7 @@ class TestCandidateTable:
     """The key screen of `srsearch._divisors` against the triple-loop reference table."""
 
     def test_matches_the_triple_loop_at_every_span(self):
-        reference = reference_candidates(srsearch.MAX_SEARCH_SPAN)
+        reference = reference_keys(srsearch.MAX_SEARCH_SPAN)
         spans = set()
         for dp in screen_targets():
             target = dp.poly
@@ -290,15 +290,15 @@ class TestCandidateTable:
         monkeypatch.setattr(srsearch, "_factor_value", lambda *key: 1)
         monkeypatch.setattr(srsearch, "divide_exact", lambda a, b: LaurentPoly.one())
         found = [(f, aliases) for f, aliases, _ in srsearch._divisors(parse(f"1 + t^{span}"))]
-        assert found == list(reference_candidates(span))
+        assert found == list(reference_keys(span))
 
     def test_span_64_counts(self):
-        table = reference_candidates(64)
+        table = reference_keys(64)
         assert len(table) == 1566
         assert sum(len(aliases) for _, aliases in table) == 24464
 
     def test_closed_form_values(self):
-        for f, aliases in reference_candidates(srsearch.MAX_SEARCH_SPAN):
+        for f, aliases in reference_keys(srsearch.MAX_SEARCH_SPAN):
             values = {x: abs(eval_int(f, x)) for x in (-1, 2, 3)}
             for prm in aliases:
                 key = (prm.m, prm.p + prm.l, prm.p % 2)
@@ -339,7 +339,7 @@ def oracle_certificate_count(target):
     values = [eval_int(target, x) for x in (-1, 2, 3)]
     whole = to_sympy(target)
     parts = []
-    for f, aliases in reference_candidates(srsearch.MAX_SEARCH_SPAN):
+    for f, aliases in reference_keys(srsearch.MAX_SEARCH_SPAN):
         if f.span > target.span:
             break
         if any(v % fv if (fv := eval_int(f, x)) else v for x, v in zip((-1, 2, 3), values)):
@@ -465,6 +465,29 @@ class TestCertificateCheck:
         with pytest.raises(ArithmeticError, match="does not regenerate"):
             decompose(target)
 
+    def test_wrong_solution_raises(self, monkeypatch):
+        def one_quotient(a, b):  # every division that succeeds gives 1
+            return None if divide_exact(a, b) is None else LaurentPoly.one()
+
+        monkeypatch.setattr(srsearch, "divide_exact", one_quotient)
+        with pytest.raises(ArithmeticError, match="does not regenerate"):
+            decompose(NF("4 - 20*t + 33*t^2 - 20*t^3 + 4*t^4"))
+
+    def test_check_cost_does_not_grow_with_the_certificates(self, monkeypatch):
+        target = normalize(parse("2 - 5*t + 2*t^2") ** 12)
+        calls = []
+        mul = LaurentPoly.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        decs = decompose(target)
+        assert len(decs) == comb(6 + 12 - 1, 12) == 6188
+        assert decs == sorted(decs, key=lambda d: d.factors)
+        assert len(calls) <= 100
+
     def test_one_term_pair_factor_per_alias(self, monkeypatch):
         calls = []
 
@@ -483,20 +506,28 @@ class TestCertificateCheck:
             [
                 "import sys",
                 "from srknots import srsearch",
-                "from srknots.laurent import normalize, parse",
+                "from srknots.laurent import LaurentPoly, divide_exact, normalize, parse",
                 "from srknots.srpoly import SRParams, product_formula",
                 "if not sys.flags.optimize:",
                 "    sys.exit(2)",
                 "target = normalize(parse('2 - 5*t + 2*t^2'))",
+                "square = normalize(parse('4 - 20*t + 33*t^2 - 20*t^3 + 4*t^4'))",
                 "def one_alias(dec):",
                 "    true = product_formula(dec)",
                 "    if dec.factors != (SRParams(2, 0, 0),):",
                 "        return true",
                 "    return normalize(true.poly * parse('1 + t'))",
-                "for patch in (lambda dec: normalize(parse('1 + t')), one_alias):",
-                "    srsearch.product_formula = patch",
+                "def one_quotient(a, b):",
+                "    return None if divide_exact(a, b) is None else LaurentPoly.one()",
+                "for name, patch, dp in (",
+                "    ('product_formula', lambda dec: normalize(parse('1 + t')), target),",
+                "    ('product_formula', one_alias, target),",
+                "    ('divide_exact', one_quotient, square),",
+                "):",
+                "    srsearch.product_formula, srsearch.divide_exact = product_formula, divide_exact",
+                "    setattr(srsearch, name, patch)",
                 "    try:",
-                "        srsearch.decompose(target)",
+                "        srsearch.decompose(dp)",
                 "    except ArithmeticError:",
                 "        continue",
                 "    sys.exit(1)",
