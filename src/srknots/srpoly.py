@@ -10,15 +10,17 @@ of the fused knot is the symmetric factor
 
 A knot built from the trivial knot by a sequence of such fusions has
 Alexander polynomial equal (up to units) to the product of the factors, so a
-decomposition is an unordered multiset of parameter triples.
+decomposition is an unordered multiset of parameter triples.  Both are plain
+tuples: a triple is the tuple (m, l, p), validated when it is made, and a
+decomposition is the sorted tuple of its triples.  Canonical order is tuple
+order, the order of (m, l, p), for triples and decompositions alike.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import comb, prod
-from typing import Tuple
+from typing import Iterable, NamedTuple
 
 from .laurent import LaurentPoly, NormalForm, PolyParseError, equal_up_to_unit, normalize
 
@@ -71,46 +73,42 @@ def _one_minus_t_power(m: int) -> LaurentPoly:
     return LaurentPoly({k: _sign(k) * comb(m, k) for k in range(m + 1)})
 
 
-@dataclass(frozen=True, order=True)
-class SRParams:
-    """Parameters (m, l, p) of one elementary fusion."""
+class SRParams(NamedTuple("SRParams", [("m", int), ("l", int), ("p", int)])):
+    """Parameters (m, l, p) of one elementary fusion.
 
-    m: int
-    l: int
-    p: int
+    A tuple: it equals, orders and hashes as its field tuple, so
+    SRParams(1, 0, 0) == (1, 0, 0).  `__new__` validates; the inherited
+    `_make` and `_replace` skip it, so nothing may call them.
+    """
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"band count must be >= 1, got {self.m}")
-        if not 0 <= self.p <= self.m:
-            raise ValueError(f"positive-band count must satisfy 0 <= p <= m, got {self.p}")
+    __slots__ = ()
+
+    def __new__(cls, m: int, l: int, p: int):
+        if m < 1:
+            raise ValueError(f"band count must be >= 1, got {m}")
+        if not 0 <= p <= m:
+            raise ValueError(f"positive-band count must satisfy 0 <= p <= m, got {p}")
+        return super().__new__(cls, m, l, p)
 
     def __str__(self) -> str:
         return f"F({self.m},{self.l},{self.p})"
 
 
-@dataclass(frozen=True)
-class SRDecomposition:
-    """An unordered multiset of fusion parameters, kept in sorted order.
+class SRDecomposition(tuple):
+    """An unordered multiset of fusion parameters: the sorted tuple of its triples.
 
-    The empty decomposition stands for the trivial knot (polynomial 1).
+    It equals and hashes as that plain tuple, so
+    SRDecomposition((x,)) == (x,).  The empty decomposition stands for the
+    trivial knot (polynomial 1).
     """
 
-    factors: Tuple[SRParams, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(sorted(self.factors)))
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
+    def __new__(cls, factors: Iterable[SRParams] = ()):
+        return super().__new__(cls, sorted(factors))
 
     def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return "*".join(str(f) for f in self.factors)
+        return "*".join(map(str, self)) or "1"
 
 
 def f_factor(params: SRParams) -> LaurentPoly:
@@ -257,4 +255,4 @@ def parse_decomposition(text: str) -> SRDecomposition:
         if text[pos] != "*":
             raise PolyParseError("expected '*' between factors", pos)
         pos += 1
-    return SRDecomposition(tuple(factors))
+    return SRDecomposition(factors)

@@ -148,6 +148,9 @@ def _divisors(target: LaurentPoly) -> list[tuple[LaurentPoly, tuple[SRParams, ..
 def decompose(dp: NormalForm) -> list[SRDecomposition]:
     """All multiset-distinct fusion decompositions of dp, canonically ordered.
 
+    Each decomposition is the sorted tuple of its validated (m, l, p)
+    triples, and the list is in tuple order, which is canonical order.
+
     An empty list is a proof that no decomposition exists.  The peel starts
     from the quotients of `_divisors` and divides only by its factors; each
     solution over distinct factor polynomials is expanded into one
@@ -187,7 +190,7 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
                 acc.pop()
 
     peel(target, 0, [], [quotient for _, _, quotient in divisors])
-    results.sort(key=lambda d: d.factors)
+    results.sort()
     # Every alias of a used divisor must give its polynomial as its term-pair
     # factor, so every certificate's product is some solution's, the target.
     for idx in sorted(used):

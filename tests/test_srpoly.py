@@ -37,16 +37,47 @@ def grid(max_m, max_abs_l):
 
 class TestSRParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^band count must be >= 1, got 0$"):
             SRParams(0, 0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^positive-band count must satisfy 0 <= p <= m, got 3$"):
             SRParams(2, 0, 3)
         with pytest.raises(ValueError):
             SRParams(2, 0, -1)
 
+    def test_equal_and_hash_as_the_plain_tuple(self):
+        prm = SRParams(1, 0, 0)
+        assert prm == (1, 0, 0)
+        assert hash(prm) == hash((1, 0, 0))
+        dec = SRDecomposition((SRParams(2, 0, 2), prm))
+        assert dec == ((1, 0, 0), (2, 0, 2))
+        assert hash(dec) == hash(((1, 0, 0), (2, 0, 2)))
+        assert SRDecomposition() == ()
+        assert hash(SRDecomposition()) == hash(())
+        assert not hasattr(dec, "factors")
+
+    def test_fields_are_read_only(self):
+        prm = SRParams(1, 0, 0)
+        with pytest.raises(AttributeError):
+            prm.m = 2
+        assert prm.m == 1
+
+    def test_order_and_text_match_sorted_field_tuples(self):
+        # The oracle sorts and formats plain int triples, not the class.
+        rng = random.Random(27)
+        for _ in range(200):
+            triples = []
+            for _ in range(rng.randint(0, 6)):
+                m = rng.randint(1, 4)
+                triples.append((m, rng.randint(-5, 5), rng.randint(0, m)))
+            expected = "*".join(
+                f"F({m},{l},{p})" for m, l, p in sorted(triples, key=lambda q: (q[0], q[1], q[2]))
+            )
+            assert str(SRDecomposition([SRParams(*q) for q in triples])) == (expected or "1")
+        assert str(SRDecomposition([])) == "1"
+
     def test_canonical_ordering_in_decompositions(self):
         d = SRDecomposition((SRParams(2, 0, 2), SRParams(1, 1, 1)))
-        assert d.factors == (SRParams(1, 1, 1), SRParams(2, 0, 2))
+        assert d == (SRParams(1, 1, 1), SRParams(2, 0, 2))
         assert str(d) == "F(1,1,1)*F(2,0,2)"
         assert str(SRDecomposition()) == "1"
 
@@ -54,7 +85,7 @@ class TestSRParams:
         text = "F(1,1,1)*F(2,0,2)"
         assert str(parse_decomposition(text)) == text
         assert parse_decomposition("1") == SRDecomposition()
-        assert parse_decomposition("F(2,-1,1)").factors == (SRParams(2, -1, 1),)
+        assert parse_decomposition("F(2,-1,1)") == (SRParams(2, -1, 1),)
 
 
 class TestFFactor:
@@ -181,7 +212,7 @@ class TestBandBudget:
         expected = F_factor(SRParams(2, 1, 1)).poly * F_factor(SRParams(4, -3, 2)).poly
         assert equal_up_to_unit(product_formula(at).poly, expected)
         with pytest.raises(ValueError, match="7 bands are above the budget of 6"):
-            product_formula(SRDecomposition(at.factors + (SRParams(1, 0, 0),)))
+            product_formula(SRDecomposition(at + (SRParams(1, 0, 0),)))
 
 
 def term_bound(dec):
@@ -212,7 +243,7 @@ class TestProductTermBudget:
         at = SRDecomposition((SRParams(1, 100, 0), SRParams(1, 1000, 0)))
         assert term_bound(at) == 49
         assert len(product_formula(at).poly.terms) == 33
-        above = SRDecomposition(at.factors + (SRParams(1, 10, 0),))
+        above = SRDecomposition(at + (SRParams(1, 10, 0),))
         with pytest.raises(ValueError, match="343 terms, above the budget of 49 terms"):
             product_formula(above)
         # 7^3 = 343 by the term counts, but the spans 2 + 4 + 6 allow only 13.
