@@ -125,7 +125,7 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = LaurentPoly.constant(other)
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._terms == other._terms
@@ -174,17 +174,27 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
+            if other == 1:
+                return self
             return LaurentPoly._adopt({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        # Both sides are immutable, so a product by the shared one is the other side.
+        if self is _ONE:
+            return other
+        if other is _ONE:
+            return self
         # Term-pair products; cost follows the term counts, not the spans.
         data: dict[int, int] = {}
         get = data.get
+        right = list(other._terms.items())
         for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
+            for eb, cb in right:
                 e = ea + eb
                 data[e] = get(e, 0) + ca * cb
-        return LaurentPoly(data)
+        for e in [e for e, c in data.items() if not c]:
+            del data[e]
+        return LaurentPoly._adopt(data)
 
     __rmul__ = __mul__
 
@@ -269,12 +279,13 @@ class NormalForm:
 
 def normalize(p: LaurentPoly) -> NormalForm:
     """Canonical unit-equivalent representative of a nonzero polynomial."""
-    if p.is_zero:
+    terms = p._terms
+    if not terms:
         raise ValueError("the zero polynomial has no normal form")
-    shifted = p.shift(-p.min_exp)
-    if shifted.coeff(0) < 0:
-        shifted = -shifted
-    return NormalForm(shifted)
+    low = min(terms)
+    if terms[low] < 0:
+        return NormalForm(LaurentPoly._adopt({e - low: -c for e, c in terms.items()}))
+    return NormalForm(p.shift(-low))
 
 
 def equal_up_to_unit(a: LaurentPoly, b: LaurentPoly) -> bool:

@@ -68,9 +68,14 @@ def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
 
+def _one_minus_t_terms(m: int) -> dict[int, int]:
+    """The exponent -> coefficient map of (1 - t)^m for m >= 0, from the binomial coefficients."""
+    return {k: _sign(k) * comb(m, k) for k in range(m + 1)}
+
+
 def _one_minus_t_power(m: int) -> LaurentPoly:
-    """(1 - t)^m for m >= 0, straight from the binomial coefficients."""
-    return LaurentPoly({k: _sign(k) * comb(m, k) for k in range(m + 1)})
+    """(1 - t)^m for m >= 0."""
+    return LaurentPoly(_one_minus_t_terms(m))
 
 
 class SRParams(NamedTuple("SRParams", [("m", int), ("l", int), ("p", int)])):
@@ -91,7 +96,7 @@ class SRParams(NamedTuple("SRParams", [("m", int), ("l", int), ("p", int)])):
         return super().__new__(cls, m, l, p)
 
     def __str__(self) -> str:
-        return f"F({self.m},{self.l},{self.p})"
+        return "F(%d,%d,%d)" % self
 
 
 class SRDecomposition(tuple):
@@ -118,8 +123,10 @@ def f_factor(params: SRParams) -> LaurentPoly:
     ValueError.
     """
     _check_bands(params.m)
-    extra = LaurentPoly.monomial(_sign(params.p), params.p + params.l)
-    return _one_minus_t_power(params.m) - extra
+    terms = _one_minus_t_terms(params.m)
+    s = params.p + params.l
+    terms[s] = terms.get(s, 0) - _sign(params.p)
+    return LaurentPoly(terms)
 
 
 def F_factor(params: SRParams) -> NormalForm:

@@ -10,12 +10,13 @@ each pair, with spans from `factor_span`, forms only the factors whose
 closed-form values at t = -1 and 3 divide the input's, keeping no table,
 and peels by those that divide it.  Many triples share one factor
 polynomial (a key's aliases, their `mirror`s, and two pairs of keys more),
-so the peel runs over distinct polynomials and expands each solution into
-its alias certificates at the end.  Two checks, independent of the search,
-cover every certificate: the factor polynomials of each solution must
-multiply to the input, and each alias of a polynomial some solution uses must
-give that polynomial as its term-pair product.  A certificate's product is
-then its solution's, the input, at a cost of one product per solution and one
+so `_peel` runs over distinct polynomials and collects each solution as a
+tuple of divisor indices.  Two checks, independent of the search, then run
+over those solutions: the factor polynomials of each solution must multiply
+to the input, and each alias of a polynomial some solution uses must give
+that polynomial as its term-pair product.  Only then is each solution
+expanded into its alias certificates.  A certificate's product is its
+solution's, the input, at a cost of one product per solution and one
 term-pair factor per alias, not one product per certificate.
 
 `classify` runs the obstruction pipeline: symmetry, the 2^s +- 1 test on
@@ -145,17 +146,35 @@ def _divisors(target: LaurentPoly) -> list[tuple[LaurentPoly, tuple[SRParams, ..
     return found
 
 
+def _peel(divisors, cur: LaurentPoly, start: int, acc: list[int], quotients, solutions) -> None:
+    """Append to solutions each index tuple, from start on, of divisors whose product is cur.
+
+    quotients yields cur / divisors[idx] (or None) for idx = start, start + 1, ...;
+    acc holds the indices peeled so far, and every tuple appended begins with them.
+    """
+    if cur == 1:
+        solutions.append(tuple(acc))
+        return
+    for idx, quotient in enumerate(quotients, start):
+        if quotient is not None:
+            acc.append(idx)
+            tail = (divide_exact(quotient, f) for f, _, _ in divisors[idx:])
+            _peel(divisors, quotient, idx, acc, tail, solutions)
+            acc.pop()
+
+
 def decompose(dp: NormalForm) -> list[SRDecomposition]:
     """All multiset-distinct fusion decompositions of dp, canonically ordered.
 
     Each decomposition is the sorted tuple of its validated (m, l, p)
     triples, and the list is in tuple order, which is canonical order.
 
-    An empty list is a proof that no decomposition exists.  The peel starts
-    from the quotients of `_divisors` and divides only by its factors; each
-    solution over distinct factor polynomials is expanded into one
-    certificate per choice of aliases.  Targets wider than MAX_SEARCH_SPAN
-    raise ValueError.
+    An empty list is a proof that no decomposition exists.  `_peel` starts
+    from the quotients of `_divisors`, divides only by its factors and
+    collects each solution over distinct factor polynomials as a tuple of
+    divisor indices.  The checks then run over those solutions, and each
+    solution is expanded into one certificate per choice of aliases.
+    Targets wider than MAX_SEARCH_SPAN raise ValueError.
 
     Every certificate is checked independently of the divisions: the
     product of each solution's factor polynomials must equal dp, and each
@@ -166,38 +185,27 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
     """
     target = dp.poly
     divisors = _divisors(target)
-    results: list[SRDecomposition] = []
-    used: set[int] = set()  # the divisors some solution uses
-
-    def peel(cur: LaurentPoly, start: int, acc: list[int], quotients):
-        """quotients yields cur / divisors[idx] (or None) for idx = start, start + 1, ..."""
-        if cur == 1:
-            # One multiplication checks the divisions; a product of normal forms
-            # is a normal form, so unit equivalence is plain equality.
-            if prod(divisors[idx][0] for idx in acc) != target:
-                raise ArithmeticError(f"solution {acc} does not regenerate {target}")
-            used.update(acc)
-            picks = (
-                combinations_with_replacement(divisors[idx][1], k)
-                for idx, k in Counter(acc).items()
-            )
-            results.extend(SRDecomposition(tuple(chain(*choice))) for choice in product(*picks))
-            return
-        for idx, quotient in enumerate(quotients, start):
-            if quotient is not None:
-                acc.append(idx)
-                peel(quotient, idx, acc, (divide_exact(quotient, f) for f, _, _ in divisors[idx:]))
-                acc.pop()
-
-    peel(target, 0, [], [quotient for _, _, quotient in divisors])
-    results.sort()
+    solutions: list[tuple[int, ...]] = []
+    _peel(divisors, target, 0, [], [quotient for _, _, quotient in divisors], solutions)
+    # One multiplication checks each solution's divisions; a product of normal
+    # forms is a normal form, so unit equivalence is plain equality.
+    for sol in solutions:
+        if prod(divisors[idx][0] for idx in sol) != target:
+            raise ArithmeticError(f"solution {list(sol)} does not regenerate {target}")
     # Every alias of a used divisor must give its polynomial as its term-pair
     # factor, so every certificate's product is some solution's, the target.
-    for idx in sorted(used):
+    for idx in sorted(set(chain.from_iterable(solutions))):
         f, aliases, _ = divisors[idx]
         for prm in aliases:
             if product_formula(SRDecomposition((prm,))).poly != f:
                 raise ArithmeticError(f"alias {prm} does not regenerate {f}")
+    results = []
+    for sol in solutions:
+        picks = (
+            combinations_with_replacement(divisors[idx][1], k) for idx, k in Counter(sol).items()
+        )
+        results.extend(SRDecomposition(chain(*choice)) for choice in product(*picks))
+    results.sort()
     return results
 
 

@@ -53,6 +53,13 @@ class TestMul:
         p = P("t^-3 + 4 - t^2")
         assert p * LaurentPoly.one() == p
 
+    def test_product_by_the_shared_one_is_the_other_operand(self):
+        p = P("t^-3 + 4 - t^2")
+        assert LaurentPoly.one() * p is p
+        assert p * LaurentPoly.one() is p
+        assert p * 1 is p and 1 * p is p
+        assert p**1 is p
+
     def test_zero_annihilates(self):
         assert (P("1 + t") * LaurentPoly.zero()).is_zero
 

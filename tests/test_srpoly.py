@@ -97,6 +97,26 @@ class TestFFactor:
     def test_negative_linking_gives_negative_exponents(self):
         assert f_factor(SRParams(1, -2, 0)) == parse("1 - t - t^-2")
 
+    def test_matches_sympy_expand(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(28)
+        triples = []
+        for _ in range(60):
+            m = rng.randint(1, 12)
+            triples.append(SRParams(m, rng.randint(-15, 15), rng.randint(0, m)))
+        # Negative exponents, then the cancellation cases: s = p + l = 0 with
+        # p even, and s = m with m - p even, where the monomial kills an end term.
+        triples += [SRParams(3, -9, 1), SRParams(12, -15, 0)]
+        triples += [SRParams(1, 0, 0), SRParams(4, -2, 2), SRParams(12, -12, 12)]
+        triples += [SRParams(2, 0, 2), SRParams(5, 4, 1), SRParams(12, 12, 0)]
+        for prm in triples:
+            shift = max(0, -(prm.p + prm.l))  # t^shift clears every negative exponent
+            f = (1 - t) ** prm.m - t**prm.l * (-t) ** prm.p
+            raw = sympy.Poly(sympy.expand(f * t**shift), t).as_dict()
+            expected = LaurentPoly({k - shift: int(c) for (k,), c in raw.items()})
+            assert f_factor(prm) == expected, prm
+
 
 class TestOneMinusTPower:
     def test_matches_repeated_multiplication(self):

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import random
 from collections import Counter
@@ -545,3 +546,16 @@ def test_wide_targets_are_refused_before_any_factor(monkeypatch):
         decompose(target)
     assert formed == []
     assert not [name for name, value in vars(srsearch).items() if hasattr(value, "cache_info")]
+
+
+def test_a_search_leaves_no_reference_cycle():
+    # A search's results, divisors and aliases are freed by reference
+    # counting alone, never left for the cyclic collector.
+    dp = product_formula(parse_decomposition("F(1,1,1)*F(2,1,2)*F(3,1,1)"))
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(classify(dp).decompositions) == 48
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
