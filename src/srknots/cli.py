@@ -4,10 +4,15 @@ Output is plain text, machine-parseable, one result per line; identical
 arguments always produce byte-identical stdout.  Exit codes: 0 success,
 1 computational failure (bad polynomial, failed verification), 2 usage error.
 
-One table, `_COMMANDS`, describes every leaf (`srknots <group> <verb>`).
-Dispatch is one step: the leaf parser that argv names, built alone, carries
-its command as the `command` default, and `main` runs `args.command(args)`.
-A command prints its result and returns None, or an exit code other than 0.
+One table, `_COMMANDS`, describes every leaf (`srknots <group> <verb>`):
+its command, help and flags.  When argv names a leaf, its flags are read
+straight from that row, without argparse (`_table_parse`).  The nested
+argparse parser, built from the same table, runs only for help (-h), "--",
+an abbreviated, unknown or missing flag, a flag with no value, a value
+that the flag's type or choices reject or that argparse may read as an
+option, and argv that names no leaf; so help, usage and every error stay
+argparse's.  Either way `main` runs `args.command(args)`.  A command
+prints its result and returns None, or an exit code other than 0.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -234,22 +240,11 @@ def _fill(leaf: argparse.ArgumentParser, key: tuple) -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _leaf_parser(key: tuple) -> argparse.ArgumentParser:
-    """The parser of one leaf, `srknots <group> <verb>`, built alone.
-
-    It is the leaf that `build_parser` nests under its group, so parsing the
-    rest of argv with it gives what the nested parse gives.
-    """
-    return _fill(argparse.ArgumentParser(prog="srknots " + " ".join(key)), key)
-
-
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The whole nested parser, from `_GROUPS` and `_COMMANDS`, built on first use.
 
-    Only help, usage, root-level errors and argv that a leaf leaves
-    arguments of need it (see `_parse_args`); building its 19 parsers costs
-    several times what one leaf does.
+    Only help, usage, errors and the argv forms that `_table_parse` leaves
+    to argparse need it (see `_parse_args`).
     """
     parser = argparse.ArgumentParser(
         prog="srknots",
@@ -265,18 +260,84 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: list) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, building only the leaf that argv names.
+_NEGATIVE_INT = re.compile(r"-\d+")
 
-    When argv starts with a group and a verb, the nested parse hands the
-    rest to that verb's leaf parser, so parse it there directly.  Anything
-    else, or arguments the leaf leaves unrecognized, takes the nested parse,
-    so help, usage and root-level errors stay the root parser's.
+
+def _is_value(token: str) -> bool:
+    """Whether argparse reads `token`, after a flag, as that flag's value.
+
+    This is the part of `_parse_optional` (Python 3.10 and 3.11) that holds
+    for a leaf, whose only short option is -h: a token that does not start
+    with "-", "-" alone, a negative integer, or a token with a space that
+    no option string can start.  Other tokens argparse may read as options.
+    """
+    return (
+        token[:1] != "-"
+        or token == "-"
+        or _NEGATIVE_INT.fullmatch(token) is not None
+        or (" " in token and not token.startswith(("-h", "--")))
+    )
+
+
+def _table_parse(key: tuple, tokens: list) -> Optional[argparse.Namespace]:
+    """The leaf `_COMMANDS[key]`'s parse of `tokens`, read from the table.
+
+    Reads `--flag value` and `--flag=value` for the leaf's own flags; the
+    last of a repeated flag wins.  Each value goes through the row's `type`
+    and `choices`, flags not given take their `default`, and the result is
+    what the nested parse gives.  Returns None where that parse may differ
+    or fail: an unknown or abbreviated flag, -h, "--" (also as `--flag=--`),
+    a missing value or flag, a value that `type` or `choices` rejects, a
+    value that argparse may read as an option (see `_is_value`).
+    """
+    command, _, arguments = _COMMANDS[key]
+    options = dict(arguments)
+    given = {}
+    at = 0
+    while at < len(tokens):
+        flag, equals, value = tokens[at].partition("=")
+        at += 1
+        if flag not in options:
+            return None
+        if not equals:
+            if at == len(tokens) or not _is_value(tokens[at]):
+                return None
+            value = tokens[at]
+            at += 1
+        elif value == "--":  # argparse drops it and gives the flag []
+            return None
+        spec = options[flag]
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=command)
+    for flag, spec in arguments:
+        if flag in given:
+            setattr(args, flag[2:], given[flag])
+        elif spec.get("required"):
+            return None
+        else:
+            setattr(args, flag[2:], spec.get("default"))
+    return args
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, without argparse where the table suffices.
+
+    When argv starts with a group and a verb, `_table_parse` reads the rest
+    from that leaf's `_COMMANDS` row.  Any other argv, and any the table
+    parse gives up on, takes the nested parse, so help, usage and every
+    error stay argparse's.
     """
     key = tuple(argv[:2])
     if key in _COMMANDS:
-        args, unrecognized = _leaf_parser(key).parse_known_args(argv[2:])
-        if not unrecognized:
+        args = _table_parse(key, argv[2:])
+        if args is not None:
             return args
     return build_parser().parse_args(argv)
 

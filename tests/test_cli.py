@@ -1,8 +1,12 @@
+import argparse
 import contextlib
+import io
 import random
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srknots import cli
 from srknots.cli import main
@@ -541,35 +545,73 @@ DISPATCH_CORPUS = [
     ["seifert"],
     ["seifert", "frobnicate"],
     ["--threads", "4", "table", "verify"],
+    # Values at the edge of what argparse reads as an option.
+    ["poly", "normalize", "--poly", "-2 + t"],
+    ["poly", "normalize", "--poly", "-h x"],
+    ["poly", "normalize", "--poly", "-t"],
+    ["poly", "normalize", "--poly", "-"],
+    ["poly", "normalize", "--poly="],
+    ["poly", "eval", "--poly", "t", "--at", "-3"],
+    ["nt", "scan", "--family=det-powers", "--bounds", "20,8"],
+    ["table", "verify", "--corpus=missing-corpus.txt"],
 ]
 
 
-def outcome(capsys, argv):
+def outcome(argv):
     """(exit code, stdout, stderr) of main(argv), usage exits included."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def nested_parse(argv):
+    """The reference route: the root parser runs the group and leaf parsers."""
+    return cli.build_parser().parse_args(argv)
+
+
+# Tokens for the differential test: "--" and help, an unknown flag, every
+# leaf's flags (some an abbreviation of another leaf's), and values on both
+# sides of what argparse reads as an option.
+FLAGS = sorted({flag for _, _, arguments in cli._COMMANDS.values() for flag, _ in arguments})
+LONE = ["-h", "--", "--bogus", *FLAGS]
+VALUES = [
+    "-", "-3", "-t", "-h x", "-2 + t", "-- t", "--poly=1 + t", "", "t", "0", "2", "+1,-1", "20,8",
+    "1 - t, 0; t, 1 - t", "2 - 5*t + 2*t^2", "F(1,0,0)*F(2,1,1)", "plus", "det-powers",
+]
+
+
+@st.composite
+def leaf_argvs(draw):
+    """`<group> <verb>` and up to four pieces: a flag and a value, `--flag=value`, or a lone token."""
+    key = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = st.sampled_from([flag for flag, _ in cli._COMMANDS[key][2]]) | st.sampled_from(LONE)
+    values = st.sampled_from(VALUES)
+    piece = st.one_of(
+        st.tuples(flags, values),
+        st.tuples(st.builds("{}={}".format, flags, values)),
+        st.tuples(st.sampled_from(LONE + VALUES)),
+    )
+    return [*key, *(token for tokens in draw(st.lists(piece, max_size=4)) for token in tokens)]
 
 
 class TestDispatch:
     @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
-    def test_same_as_the_nested_parse(self, capsys, monkeypatch, argv):
-        got = outcome(capsys, argv)
-        # The reference route: the root parser runs the group and leaf parsers.
-        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
-        assert got == outcome(capsys, argv)
+    def test_same_as_the_nested_parse(self, monkeypatch, argv):
+        got = outcome(argv)
+        monkeypatch.setattr(cli, "_parse_args", nested_parse)
+        assert got == outcome(argv)
 
     @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
-    def test_cold_dispatch_matches_the_nested_parse(self, capsys, monkeypatch, argv):
-        # As a process's first call: no leaf parser and no root parser built yet.
-        cli._leaf_parser.cache_clear()
+    def test_cold_dispatch_matches_the_nested_parse(self, monkeypatch, argv):
+        # As a process's first call: no root parser built yet.
         cli.build_parser.cache_clear()
-        got = outcome(capsys, argv)
-        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
-        assert got == outcome(capsys, argv)
+        got = outcome(argv)
+        monkeypatch.setattr(cli, "_parse_args", nested_parse)
+        assert got == outcome(argv)
 
     def test_first_call_builds_only_its_leaf(self, fresh_process):
         script = "\n".join([
@@ -586,13 +628,54 @@ class TestDispatch:
         ])
         done = fresh_process(entry=("-c", script), timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 ['srknots sr classify']"
+        assert done.stdout.splitlines()[-1] == "0 []"
 
-    def test_named_leaf_skips_the_root_parser(self, capsys, monkeypatch):
+    def test_named_leaf_skips_the_root_parser(self, monkeypatch):
         def forbidden():
             raise AssertionError("nested parse")
 
-        monkeypatch.setattr(cli, "build_parser", forbidden)
-        assert run(capsys, "nt", "pairs", "--m", "4", "--n", "2")[:2] == (0, "admissible=true family=(2n,n)\n")
-        with pytest.raises(AssertionError, match="nested parse"):
-            main(["nt", "pairs", "--m", "4", "--n", "2", "extra"])
+        # One argv of each benchmark request shape.
+        argvs = [
+            ["seifert", "check", "--m=2", "--l=-4", "--eps=+1,-1"],
+            ["seifert", "alexander", "--matrix=-1,1;0,-1"],
+            ["nt", "scan", "--family", "minus", "--bounds", "40,8"],
+            ["nt", "pairs", "--m", "4", "--n", "2"],
+            ["table", "verify"],
+            ["sr", "classify", "--poly", "-2*t^-1 + 5 - 2*t"],
+            ["knot", "invariants", "--poly", "-1 + 3*t - t^2"],
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", forbidden)
+            got = [outcome(argv) for argv in argvs]
+            for argv in argvs:
+                with pytest.raises(AssertionError, match="nested parse"):
+                    main(argv + ["extra"])
+        monkeypatch.setattr(cli, "_parse_args", nested_parse)
+        assert got == [outcome(argv) for argv in argvs]
+        assert [code for code, _, _ in got] == [0] * len(argvs)
+
+    @given(leaf_argvs())
+    @settings(deadline=None, max_examples=400)
+    def test_table_parse_matches_the_nested_parse(self, argv):
+        args = cli._table_parse(tuple(argv[:2]), argv[2:])
+        if args is not None:
+            nested = vars(nested_parse(argv))
+            assert (nested.pop("group"), nested.pop("verb")) == tuple(argv[:2])
+            assert vars(args) == nested
+        got = outcome(argv)
+        with mock.patch.object(cli, "_parse_args", nested_parse):
+            assert got == outcome(argv)
+
+    def test_an_explicit_double_dash_takes_the_nested_parse(self):
+        # argparse drops the "--" of `--flag=--` and sets the flag to [].
+        assert cli._table_parse(("poly", "normalize"), ["--poly=--"]) is None
+
+    def test_commands_use_only_what_the_table_parse_reads(self):
+        for key, (_, _, arguments) in cli._COMMANDS.items():
+            for flag, options in arguments:
+                assert set(options) <= {"required", "type", "choices", "default", "help", "metavar"}, (key, flag)
+                # argparse would run a str default through `type`; the table parse does not.
+                assert not isinstance(options.get("default"), str), (key, flag)
+                action = argparse.ArgumentParser().add_argument(flag, **options)
+                assert flag.startswith("--") and action.option_strings == [flag], (key, flag)
+                assert action.dest == flag[2:], (key, flag)
