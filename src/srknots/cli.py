@@ -332,14 +332,20 @@ def _parse_args(argv: list) -> argparse.Namespace:
     When argv starts with a group and a verb, `_table_parse` reads the rest
     from that leaf's `_COMMANDS` row.  Any other argv, and any the table
     parse gives up on, takes the nested parse, so help, usage and every
-    error stay argparse's.
+    error stay argparse's.  argparse reads `--flag=--` as the flag with its
+    "--" dropped and gives it []; that is a usage error here.
     """
     key = tuple(argv[:2])
     if key in _COMMANDS:
         args = _table_parse(key, argv[2:])
         if args is not None:
             return args
-    return build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            leaf = argparse.ArgumentParser(prog=f"srknots {args.group} {args.verb}")
+            _fill(leaf, (args.group, args.verb)).error(f"argument --{name}: expected one argument")
+    return args
 
 
 def _message(exc: Exception) -> str:

@@ -30,7 +30,7 @@ def _bits_at_two(dp: NormalForm) -> int:
     |sum_e c_e 2^e| <= sum_e |c_e| 2^e < (number of terms) * 2^M, where
     M is the largest e + bitlen(c_e).
     """
-    terms = dp.poly.terms
+    terms = dp.terms
     top = max(e + abs(c).bit_length() for e, c in terms.items())
     return top + (len(terms) - 1).bit_length()
 
@@ -47,7 +47,7 @@ def delta2(dp: NormalForm) -> int:
             f"dp(2) may hold {bits:,} bits, above the delta2 budget of {DELTA2_BITS:,} bits"
         )
     # A normal form has no negative exponents, so dp(2) is a sum of shifts.
-    v = abs(sum(c << e for e, c in dp.poly.terms.items()))
+    v = abs(sum(c << e for e, c in dp.terms.items()))
     if v == 0:
         return 0
     # One shift by the 2-adic valuation: dividing by 2 in a loop is
@@ -57,12 +57,12 @@ def delta2(dp: NormalForm) -> int:
 
 def knot_det(dp: NormalForm) -> int:
     """|dp(-1)|."""
-    return abs(eval_int(dp.poly, -1))
+    return abs(eval_int(dp, -1))
 
 
 def symmetry_check(dp: NormalForm) -> bool:
     """Whether dp is unit-equivalent to its own t -> 1/t image (dp is normal already)."""
-    return normalize(dp.poly.substitute_inverse()).poly == dp.poly
+    return normalize(dp.substitute_inverse()) == dp
 
 
 def _strike(flags: bytearray, start: int, step: int) -> None:

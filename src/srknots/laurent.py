@@ -8,7 +8,10 @@ overflow.
 Polynomials a and b are *unit-equivalent* when a = +-t^k * b for some integer
 k.  Every nonzero polynomial has a unique unit-equivalent representative with
 lowest exponent 0 and positive constant term (`normalize`); unit equivalence
-is decided by comparing these normal forms (`equal_up_to_unit`).
+is decided by comparing these normal forms (`equal_up_to_unit`).  A normal
+form is itself a `LaurentPoly`: `NormalForm` only checks that shape when it
+is built, so a normal form is read, printed and multiplied like any other
+polynomial.
 
 Text grammar accepted by `parse` and emitted by `str()`:
 
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Mapping, Optional, Union
@@ -78,11 +80,11 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, c: int) -> "LaurentPoly":
-        return cls({0: c})
+        return LaurentPoly({0: c})
 
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> "LaurentPoly":
-        return cls({exp: coeff})
+        return LaurentPoly({exp: coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -240,38 +242,33 @@ class LaurentPoly:
         return "".join(parts)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self})"
+        return f"{type(self).__name__}({self})"
 
 
 _ZERO = LaurentPoly._adopt({})
 _ONE = LaurentPoly._adopt({0: 1})
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(LaurentPoly):
     """A nonzero polynomial with lowest exponent 0 and positive constant term.
 
-    Instances certify their own shape: constructing one from a polynomial
-    that is not in normal form raises ValueError.
+    A normal form is a `LaurentPoly` and certifies its own shape:
+    `NormalForm(poly)` raises ValueError when poly is not in normal form,
+    and otherwise shares poly's terms.  Arithmetic on it returns an operand
+    unchanged (x * 1, x ** 1, x.shift(0)) or builds a plain `LaurentPoly`,
+    so no operation yields a `NormalForm` of other terms.
     """
 
-    poly: LaurentPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = self.poly
-        if p.is_zero:
+    def __new__(cls, poly: LaurentPoly):
+        if poly.is_zero:
             raise ValueError("the zero polynomial has no normal form")
-        if p.min_exp != 0:
+        if poly.min_exp != 0:
             raise ValueError("normal form must have minimum exponent 0")
-        if p.coeff(0) <= 0:
+        if poly.coeff(0) <= 0:
             raise ValueError("normal form must have a positive constant term")
-
-    @property
-    def span(self) -> int:
-        return self.poly.span
-
-    def __str__(self) -> str:
-        return str(self.poly)
+        return cls._adopt(poly._terms)
 
 
 # -- module-level operations ------------------------------------------------
@@ -283,16 +280,15 @@ def normalize(p: LaurentPoly) -> NormalForm:
     if not terms:
         raise ValueError("the zero polynomial has no normal form")
     low = min(terms)
-    if terms[low] < 0:
-        return NormalForm(LaurentPoly._adopt({e - low: -c for e, c in terms.items()}))
-    return NormalForm(p.shift(-low))
+    sign = -1 if terms[low] < 0 else 1
+    return NormalForm._adopt({e - low: sign * c for e, c in terms.items()})
 
 
 def equal_up_to_unit(a: LaurentPoly, b: LaurentPoly) -> bool:
     """True when a = +-t^k * b for some integer k (both zero counts)."""
     if a.is_zero or b.is_zero:
         return a.is_zero and b.is_zero
-    return normalize(a).poly == normalize(b).poly
+    return normalize(a) == normalize(b)
 
 
 def eval_int(p: LaurentPoly, x: int) -> Union[int, Fraction]:

@@ -466,21 +466,20 @@ def alexander_from_fusion(signs: FusionSigns) -> NormalForm:
 # -- assembled Seifert matrices ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
-    """A square integer Seifert matrix, possibly assembled from fusion blocks."""
+class SeifertMatrix(tuple):
+    """A square integer Seifert matrix, possibly assembled from fusion blocks.
 
-    entries: IntMatrix
+    The matrix is the tuple of its row tuples; building one from rows that
+    do not form a square raises ValueError.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
+    __slots__ = ()
+
+    def __new__(cls, rows: Sequence[Sequence[int]]):
+        self = super().__new__(cls, map(tuple, rows))
+        if any(len(row) != len(self) for row in self):
             raise ValueError("Seifert matrix must be square")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
+        return self
 
     @classmethod
     def assemble(
@@ -525,5 +524,5 @@ def alexander_from_seifert(matrix: SeifertMatrix) -> NormalForm:
 
     A matrix above MATRIX_SIZE raises ValueError before the elimination.
     """
-    _check_matrix_size(matrix.size)
-    return normalize(_pencil_det(matrix.entries, matrix.entries))
+    _check_matrix_size(len(matrix))
+    return normalize(_pencil_det(matrix, matrix))

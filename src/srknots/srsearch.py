@@ -135,7 +135,7 @@ def _divisors(target: LaurentPoly) -> list[tuple[LaurentPoly, tuple[SRParams, ..
             h = factor_span(prm) // 2
             if not 1 <= h <= half or at_3 % _factor_value(m, s, par, h, 3):
                 continue
-            groups.setdefault(F_factor(prm).poly, []).append((m, s, par))
+            groups.setdefault(F_factor(prm), []).append((m, s, par))
     found = []
     for f, keys in groups.items():
         quotient = divide_exact(target, f)
@@ -183,21 +183,20 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
     certificate's term-pair product equal dp; a failure of either raises
     ArithmeticError.
     """
-    target = dp.poly
-    divisors = _divisors(target)
+    divisors = _divisors(dp)
     solutions: list[tuple[int, ...]] = []
-    _peel(divisors, target, 0, [], [quotient for _, _, quotient in divisors], solutions)
+    _peel(divisors, dp, 0, [], [quotient for _, _, quotient in divisors], solutions)
     # One multiplication checks each solution's divisions; a product of normal
     # forms is a normal form, so unit equivalence is plain equality.
     for sol in solutions:
-        if prod(divisors[idx][0] for idx in sol) != target:
-            raise ArithmeticError(f"solution {list(sol)} does not regenerate {target}")
+        if prod(divisors[idx][0] for idx in sol) != dp:
+            raise ArithmeticError(f"solution {list(sol)} does not regenerate {dp}")
     # Every alias of a used divisor must give its polynomial as its term-pair
-    # factor, so every certificate's product is some solution's, the target.
+    # factor, so every certificate's product is some solution's, which is dp.
     for idx in sorted(set(chain.from_iterable(solutions))):
         f, aliases, _ = divisors[idx]
         for prm in aliases:
-            if product_formula(SRDecomposition((prm,))).poly != f:
+            if product_formula(SRDecomposition((prm,))) != f:
                 raise ArithmeticError(f"alias {prm} does not regenerate {f}")
     results = []
     for sol in solutions:
@@ -210,7 +209,17 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
 
 
 def _is_quartic_power(poly: LaurentPoly) -> bool:
-    """Whether poly is DELTA2_ONE_QUARTIC^n for some n >= 0 (n = 0 gives 1)."""
+    """Whether poly is DELTA2_ONE_QUARTIC^n for some n >= 0 (n = 0 gives 1).
+
+    The quartic is (1 - 3t + t^2)^2, of value 1 at t = 3 and 25 at t = -1,
+    so its n-th power has span 4n, value 1 at 3 and 25^n at -1.  Those
+    integer screens come first; the division chain, whose quotients fill
+    in, so that its cost grows at least as the square of the span, stays
+    the exact test.
+    """
+    span = poly.span
+    if span % 4 or abs(eval_int(poly, -1)) != 25 ** (span // 4) or eval_int(poly, 3) != 1:
+        return False
     cur = poly
     while cur != 1:
         nxt = divide_exact(cur, DELTA2_ONE_QUARTIC)
@@ -229,7 +238,7 @@ def classify(dp: NormalForm) -> SRClassification:
         compatible, _ = is_pm_power_product(d2)
         if not compatible:
             return SRClassification(Verdict.NOT_SR, obstruction=Obstruction.DELTA2_FACTOR)
-    if d2 == 1 and not _is_quartic_power(dp.poly):
+    if d2 == 1 and not _is_quartic_power(dp):
         return SRClassification(Verdict.NOT_SR, obstruction=Obstruction.DELTA2_ONE_FORM)
     decs = decompose(dp)
     if not decs:

@@ -74,7 +74,7 @@ def test_table_replay():
         if record.factorization is not None:
             yes_rows += 1
             regenerated = product_formula(record.factorization)
-            if not equal_up_to_unit(regenerated.poly, record.delta_prime.poly):
+            if not equal_up_to_unit(regenerated, record.delta_prime):
                 failures.append(f"{record.name}: factorization does not regenerate")
     if yes_rows != 18:
         failures.append(f"expected 18 factorized rows, got {yes_rows}")
@@ -136,7 +136,7 @@ def test_fusion_factor_consistency():
     failures = []
     for signs in sign_grid(5, 4):
         via_blocks = alexander_from_fusion(signs)
-        if not equal_up_to_unit(via_blocks.poly, F_factor(signs.params).poly):
+        if not equal_up_to_unit(via_blocks, F_factor(signs.params)):
             failures.append(f"{signs}: block route disagrees with factor formula")
 
     rng = random.Random(1234)
@@ -156,8 +156,8 @@ def test_fusion_factor_consistency():
             [[rng.randint(-3, 3) for _ in range(n)] for _ in range(2 * g)],
         )
         try:
-            base = alexander_from_seifert(SeifertMatrix(genus_block)).poly
-            whole = alexander_from_seifert(assembled).poly
+            base = alexander_from_seifert(SeifertMatrix(genus_block))
+            whole = alexander_from_seifert(assembled)
         except ValueError:
             continue  # genus block with vanishing determinant; redraw
         expected = base * det_P_minus_tQT(signs) * det_Q_minus_tPT(signs)
@@ -185,7 +185,7 @@ def test_delta2_one_enumeration():
     failures = []
     hits = delta2_one_factors(6, 6)
     for prm, gh in hits:
-        shape = normalize(gh).poly
+        shape = normalize(gh)
         if shape != LaurentPoly.one() and shape != DELTA2_ONE_QUARTIC:
             failures.append(f"{prm}: unexpected shape {shape}")
     if not hits:
@@ -254,9 +254,9 @@ def test_search_round_trip():
         chosen = [rng.choice(pool) for _ in range(count)]
         target = product_formula(SRDecomposition(tuple(chosen)))
         results = decompose(target)
-        wanted = sorted((F_factor(prm).poly for prm in chosen), key=hash)
+        wanted = sorted((F_factor(prm) for prm in chosen), key=hash)
         recovered = [
-            sorted((F_factor(prm).poly for prm in d), key=hash)
+            sorted((F_factor(prm) for prm in d), key=hash)
             for d in results
             if len(d) == count
         ]

@@ -280,6 +280,10 @@ class TestSeifertCommand:
         code, out, _ = run(capsys, "seifert", "alexander", "--matrix=-1,1;0,-1")
         assert code == 0 and out == "1 - t + t^2\n"
 
+    def test_alexander_rejects_a_matrix_that_is_not_square(self, capsys):
+        code, out, err = run(capsys, "seifert", "alexander", "--matrix=1,2")
+        assert (code, out, err) == (1, "", "error: Seifert matrix must be square\n")
+
     def test_alexander_rejects_polynomial_entries(self, capsys):
         code, _, err = run(capsys, "seifert", "alexander", "--matrix", "1 - t, 0; 0, 1")
         assert code == 1 and "integer matrix" in err
@@ -669,6 +673,20 @@ class TestDispatch:
     def test_an_explicit_double_dash_takes_the_nested_parse(self):
         # argparse drops the "--" of `--flag=--` and sets the flag to [].
         assert cli._table_parse(("poly", "normalize"), ["--poly=--"]) is None
+
+    @pytest.mark.parametrize("argv", [
+        ["poly", "normalize", "--poly=--"],
+        ["nt", "scan", "--family=--", "--bounds", "1,2"],
+    ], ids=" ".join)
+    def test_an_explicit_double_dash_value_is_a_usage_error(self, argv):
+        # The nested parse gives the flag [], which no command can take; the
+        # error is argparse's own for that flag given with no value.
+        flag = argv[2].partition("=")[0]
+        code, out, err = outcome(argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"error: argument {flag}: expected one argument")
+        assert "Traceback" not in err
+        assert outcome([*argv[:2], flag, *argv[3:]]) == (code, out, err)
 
     def test_commands_use_only_what_the_table_parse_reads(self):
         for key, (_, _, arguments) in cli._COMMANDS.items():

@@ -107,7 +107,7 @@ class TestNormalize:
 
     def test_sign_flip_on_quartic(self):
         got = normalize(P("-1 + 6*t - 11*t^2 + 6*t^3 - t^4"))
-        assert got.poly == P("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
+        assert got == P("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
 
     def test_constant(self):
         assert str(normalize(P("7"))) == "7"
@@ -121,6 +121,53 @@ class TestNormalize:
             NormalForm(P("t + t^2"))
         with pytest.raises(ValueError):
             NormalForm(P("-1 + t"))
+
+
+def _random_normal_form(rng):
+    terms = {rng.randint(-4, 4): rng.randint(-(2**70), 2**70) for _ in range(rng.randint(1, 6))}
+    p = LaurentPoly(terms)
+    return normalize(p if p else P("1 + t"))
+
+
+class TestNormalFormIsAPolynomial:
+    def test_normalize_gives_a_laurent_poly(self):
+        nf = normalize(P("t^-2 - 3*t + t^3"))
+        assert isinstance(nf, LaurentPoly) and isinstance(nf, NormalForm)
+        assert nf == P("1 - 3*t^3 + t^5") and hash(nf) == hash(P("1 - 3*t^3 + t^5"))
+
+    def test_a_normal_form_shares_its_polynomial(self):
+        p = P("2 - 5*t + 2*t^2")
+        nf = NormalForm(p)
+        assert nf == p and nf.terms == p.terms and str(nf) == str(p) and nf.span == 2
+
+    def test_the_zero_polynomial_has_none(self):
+        with pytest.raises(ValueError, match="the zero polynomial has no normal form"):
+            NormalForm(LaurentPoly())
+
+    @pytest.mark.parametrize("text, message", [
+        ("t + t^2", "normal form must have minimum exponent 0"),
+        ("-1 + t", "normal form must have a positive constant term"),
+    ])
+    def test_each_shape_check_keeps_its_message(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            NormalForm(P(text))
+
+    def test_no_operator_gives_a_normal_form_of_other_terms(self):
+        # Only x * 1, x * one(), one() * x, x ** 1 and x.shift(0) return an
+        # operand, unchanged; every other result is a plain LaurentPoly.
+        rng = random.Random(7)
+        one = LaurentPoly.one()
+        for _ in range(200):
+            x, y = _random_normal_form(rng), _random_normal_form(rng)
+            k = rng.choice([-3, -1, 1, 2])
+            unchanged = [x * 1, 1 * x, x * one, one * x, x ** 1, x.shift(0)]
+            assert all(r is x for r in unchanged)
+            built = [
+                -x, x.shift(k), x.substitute_inverse(), x + y, x - y, x + 0, x - 0,
+                2 - x, x * 3, x * y, x ** 0, x ** 2, x ** 3,
+                divide_exact(x * y, y), divide_exact(x, x),
+            ]
+            assert all(type(r) is LaurentPoly for r in built), (x, y)
 
 
 class TestEqualUpToUnit:
@@ -348,7 +395,7 @@ class TestUnitEquivalenceProperties:
         if flip:
             q = -q
         assert equal_up_to_unit(p, q)
-        assert normalize(p).poly == normalize(q).poly
+        assert normalize(p) == normalize(q)
 
     @given(nonzero_polys, nonzero_polys, nonzero_polys)
     @settings(deadline=None)
@@ -368,8 +415,8 @@ class TestUnitEquivalenceProperties:
     @settings(deadline=None)
     def test_normalize_is_idempotent_and_equivalent(self, p):
         nf = normalize(p)
-        assert equal_up_to_unit(nf.poly, p)
-        assert normalize(nf.poly).poly == nf.poly
+        assert equal_up_to_unit(nf, p)
+        assert normalize(nf) == nf
 
 
 class TestExactDivisionProperties:

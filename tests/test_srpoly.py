@@ -154,14 +154,14 @@ class TestSymmetricFactor:
 
     def test_reciprocal_symmetry(self):
         for prm in grid(6, 6):
-            F = F_factor(prm).poly
+            F = F_factor(prm)
             assert equal_up_to_unit(F, F.substitute_inverse()), prm
 
     def test_determinant_closed_form(self):
         for prm in grid(6, 6):
             F = F_factor(prm)
             expected = (2**prm.m - (-1) ** prm.l) ** 2
-            assert abs(eval_int(F.poly, -1)) == expected, prm
+            assert abs(eval_int(F, -1)) == expected, prm
 
 
 class TestClosedFormFactor:
@@ -211,7 +211,7 @@ class TestBandBudget:
         at = SRParams(MAX_BANDS, 3, 1)
         # f(1) = -(-1)^p and F(1) = f(1)^2, whatever m is.
         assert eval_int(f_factor(at), 1) == 1
-        assert eval_int(F_factor(at).poly, 1) == 1
+        assert eval_int(F_factor(at), 1) == 1
         above = SRParams(MAX_BANDS + 1, 3, 1)
         message = f"{MAX_BANDS + 1:,} bands are above the budget of {MAX_BANDS}"
         for func in (f_factor, F_factor):
@@ -229,8 +229,8 @@ class TestBandBudget:
         # so the edge is shown at a budget of 6.
         monkeypatch.setattr(srpoly, "MAX_BANDS", 6)
         at = SRDecomposition((SRParams(2, 1, 1), SRParams(4, -3, 2)))
-        expected = F_factor(SRParams(2, 1, 1)).poly * F_factor(SRParams(4, -3, 2)).poly
-        assert equal_up_to_unit(product_formula(at).poly, expected)
+        expected = F_factor(SRParams(2, 1, 1)) * F_factor(SRParams(4, -3, 2))
+        assert equal_up_to_unit(product_formula(at), expected)
         with pytest.raises(ValueError, match="7 bands are above the budget of 6"):
             product_formula(SRDecomposition(at + (SRParams(1, 0, 0),)))
 
@@ -252,8 +252,8 @@ class TestProductTermBudget:
                 for m in (rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
             ))
             for prm in dec:
-                assert len(F_factor(prm).poly.terms) <= 4 * prm.m + 3, prm
-            terms = len(product_formula(dec).poly.terms)
+                assert len(F_factor(prm).terms) <= 4 * prm.m + 3, prm
+            terms = len(product_formula(dec).terms)
             assert terms <= term_bound(dec), dec
             tight += terms == term_bound(dec)
         assert tight > 0
@@ -262,14 +262,14 @@ class TestProductTermBudget:
         monkeypatch.setattr(srpoly, "MAX_PRODUCT_TERMS", 49)
         at = SRDecomposition((SRParams(1, 100, 0), SRParams(1, 1000, 0)))
         assert term_bound(at) == 49
-        assert len(product_formula(at).poly.terms) == 33
+        assert len(product_formula(at).terms) == 33
         above = SRDecomposition(at + (SRParams(1, 10, 0),))
         with pytest.raises(ValueError, match="343 terms, above the budget of 49 terms"):
             product_formula(above)
         # 7^3 = 343 by the term counts, but the spans 2 + 4 + 6 allow only 13.
         narrow = SRDecomposition(tuple(SRParams(1, l, 0) for l in (1, 2, 3)))
         assert term_bound(narrow) == 13
-        assert len(product_formula(narrow).poly.terms) == 13
+        assert len(product_formula(narrow).terms) == 13
 
     def test_refused_before_any_factor_is_formed(self, monkeypatch):
         def forbidden(*args):
@@ -293,7 +293,7 @@ class TestMirrorIdentity:
     def test_mirror_is_alias(self):
         for prm in grid(4, 4):
             assert equal_up_to_unit(
-                F_factor(prm).poly, F_factor(mirror(prm)).poly
+                F_factor(prm), F_factor(mirror(prm))
             ), prm
 
 
@@ -313,7 +313,7 @@ class TestGHFactors:
     def test_product_matches_symmetric_factor_on_grid(self):
         for prm in grid(6, 6):
             g, h = gh_factors(prm)
-            assert equal_up_to_unit(g * h, F_factor(prm).poly), prm
+            assert equal_up_to_unit(g * h, F_factor(prm)), prm
 
     def test_values_at_two_split_the_factor(self):
         for prm in grid(4, 4):
@@ -336,7 +336,7 @@ class TestFactorSpan:
 
     def test_against_computed_span_oracle(self):
         for prm in grid(6, 6):
-            assert factor_span(prm) == F_factor(prm).poly.span, prm
+            assert factor_span(prm) == F_factor(prm).span, prm
 
     def test_even_and_nonnegative(self):
         for prm in grid(5, 5):

@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import random
+import time
 from collections import Counter
 from math import comb
 
@@ -40,7 +41,7 @@ class TestDecompose:
         assert all(len(d) == 1 for d in results)
         for d in results:
             regen = product_formula(d)
-            assert regen.poly == parse("2 - 5*t + 2*t^2")
+            assert regen == parse("2 - 5*t + 2*t^2")
 
     def test_trivial_polynomial(self):
         assert decompose(NF("1")) == [SRDecomposition()]
@@ -66,7 +67,7 @@ class TestDecompose:
                 for p in range(m + 1):
                     prm = SRParams(m, l, p)
                     if factor_span(prm) >= 2:
-                        factors.setdefault(F_factor(prm).poly, prm)
+                        factors.setdefault(F_factor(prm), prm)
         polys = sorted(factors, key=lambda f: (f.span, str(f)))
         pairs = list(itertools.combinations_with_replacement(polys, 2))
         for fa, fb in pairs:
@@ -74,7 +75,7 @@ class TestDecompose:
             results = decompose(target)
             wanted = sorted([fa, fb], key=hash)
             recovered = [
-                sorted((F_factor(x).poly for x in d), key=hash)
+                sorted((F_factor(x) for x in d), key=hash)
                 for d in results
                 if len(d) == 2
             ]
@@ -110,6 +111,30 @@ class TestClassify:
         assert outcome.verdict is Verdict.POLY_COMPATIBLE
         assert SRDecomposition((SRParams(2, 1, 2),)) in outcome.decompositions
 
+    def test_wide_delta2_one_form_is_screened_promptly(self):
+        # Symmetric, with value 2^(3n+1) at t = 2, so delta2 = 1, and a bit
+        # bound of 240,003 under DELTA2_BITS: the division chain by the
+        # quartic alone took 23.5 s on it.
+        n = 80_000
+        dp = normalize(LaurentPoly({0: 2**n, n: 2 ** (2 * n) - 1, 2 * n: 2**n}))
+        start = time.perf_counter()
+        outcome = classify(dp)
+        elapsed = time.perf_counter() - start
+        assert outcome.obstruction is Obstruction.DELTA2_ONE_FORM
+        assert elapsed < 2, elapsed
+
+    def test_quartic_screens_leave_the_exact_test_to_division(self):
+        quartic_root = parse("1 - 3*t + t^2")
+        for k in range(6):
+            assert srsearch._is_quartic_power(DELTA2_ONE_QUARTIC**k)
+        # Vanishes at t = -1 and t = 3 without changing the span, so it passes
+        # every screen, and only the division chain turns it away.
+        twin = DELTA2_ONE_QUARTIC**2 + parse("t^2") * (1 + parse("t")) * (parse("t") - 3)
+        assert twin.span == 8 and eval_int(twin, 3) == 1 and eval_int(twin, -1) == 625
+        assert not srsearch._is_quartic_power(twin)
+        assert not srsearch._is_quartic_power(quartic_root**3)
+        assert not srsearch._is_quartic_power(DELTA2_ONE_QUARTIC.shift(1))
+
     def test_quartic_power_passes_the_rigidity_gate(self):
         quartic = parse("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
         squared = classify(normalize(quartic * quartic))
@@ -136,7 +161,7 @@ class TestDelta2OneFactors:
 
     def test_only_two_shapes_in_large_box(self):
         hits = delta2_one_factors(6, 6)
-        shapes = {normalize(gh).poly for _, gh in hits}
+        shapes = {normalize(gh) for _, gh in hits}
         assert shapes == {LaurentPoly.one(), DELTA2_ONE_QUARTIC}
 
     def test_expected_parameter_set(self):
@@ -162,9 +187,9 @@ class TestRoundTripProperty:
             chosen = [rng.choice(pool) for _ in range(count)]
             target = product_formula(SRDecomposition(tuple(chosen)))
             results = decompose(target)
-            wanted = sorted((F_factor(prm).poly for prm in chosen), key=hash)
+            wanted = sorted((F_factor(prm) for prm in chosen), key=hash)
             recovered = [
-                sorted((F_factor(prm).poly for prm in d), key=hash)
+                sorted((F_factor(prm) for prm in d), key=hash)
                 for d in results
                 if len(d) == count
             ]
@@ -173,10 +198,10 @@ class TestRoundTripProperty:
 
 def _triple_by_triple_decompose(target):
     """Reference peel over single parameter triples, with no polynomial grouping."""
-    poly = target.poly
+    poly = target
     budget = poly.span // 2
     table = sorted(
-        (factor_span(prm), prm, F_factor(prm).poly)
+        (factor_span(prm), prm, F_factor(prm))
         for m in range(1, budget + 2)
         for p in range(m + 1)
         for s in range(min(m - budget, 0), max(budget, m) + 1)
@@ -210,7 +235,7 @@ def _triple_by_triple_decompose(target):
 def product_factor(prm):
     """F(t; m, l, p) as the normalized term-pair product f(t) * f(1/t)."""
     f = f_factor(prm)
-    return normalize(f * f.substitute_inverse()).poly
+    return normalize(f * f.substitute_inverse())
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,7 +296,7 @@ class TestKeyWalk:
         reference = reference_keys(srsearch.MAX_SEARCH_SPAN)
         spans = set()
         for dp in screen_targets():
-            target = dp.poly
+            target = dp
             spans.add(target.span)
             expected = [
                 (f, aliases)
@@ -371,7 +396,7 @@ def oracle_certificate_count(target):
 class TestExactCoverOracle:
     def test_counts_match_decompose(self):
         for dp in screen_targets():
-            assert len(decompose(dp)) == oracle_certificate_count(dp.poly), str(dp)
+            assert len(decompose(dp)) == oracle_certificate_count(dp), str(dp)
 
     @pytest.mark.parametrize("lose", ["divisor", "alias"])
     def test_oracle_sees_a_lost_divisor_or_alias(self, monkeypatch, lose):
@@ -385,7 +410,7 @@ class TestExactCoverOracle:
 
         monkeypatch.setattr(srsearch, "_divisors", lossy)
         dp = product_formula(parse_decomposition("F(1,1,1)*F(2,0,1)*F(2,0,1)"))
-        assert len(decompose(dp)) != oracle_certificate_count(dp.poly)
+        assert len(decompose(dp)) != oracle_certificate_count(dp)
 
 
 def counted_divisions(monkeypatch):
@@ -411,7 +436,7 @@ class TestPolynomialPeel:
 
     def test_candidate_table_groups_every_triple_once(self):
         for dp in screen_targets():
-            target = dp.poly
+            target = dp
             divisors = srsearch._divisors(target)
             assert len({f for f, _, _ in divisors}) == len(divisors)
             for f, aliases, quotient in divisors:
@@ -439,7 +464,7 @@ class TestPolynomialPeel:
             (SRParams(1, -6, 1), SRParams(1, 4, 0), SRParams(3, -5, 0), SRParams(4, -4, 4))
         )
         target = product_formula(dec)
-        assert target.poly.span == 42
+        assert target.span == 42
         assert len(decompose(target)) == 288
         assert len(calls) <= 250
 
@@ -457,7 +482,7 @@ class TestCertificateCheck:
             true = product_formula(dec)
             if dec != (self.ONE_ALIAS,):
                 return true
-            return normalize(true.poly * parse("1 + t"))
+            return normalize(true * parse("1 + t"))
 
         target = NF("2 - 5*t + 2*t^2")
         assert SRDecomposition((self.ONE_ALIAS,)) in decompose(target)
@@ -516,7 +541,7 @@ class TestCertificateCheck:
                 "    true = product_formula(dec)",
                 "    if dec != (SRParams(2, 0, 0),):",
                 "        return true",
-                "    return normalize(true.poly * parse('1 + t'))",
+                "    return normalize(true * parse('1 + t'))",
                 "def one_quotient(a, b):",
                 "    return None if divide_exact(a, b) is None else LaurentPoly.one()",
                 "for name, patch, dp in (",
