@@ -136,8 +136,8 @@ def _seifert_alexander(args) -> None:
 
 
 def _nt_pairs(args) -> None:
-    verdict = admissible_pair(args.m, args.n)
-    print(f"admissible=true family={verdict.family}" if verdict.admissible else "admissible=false")
+    family = admissible_pair(args.m, args.n)
+    print("admissible=false" if family is None else f"admissible=true family={family}")
 
 
 # `nt scan --family`: family -> (number of bounds, scan, labels of the hit

@@ -36,12 +36,10 @@ verification harnesses over finite boxes, not proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
 __all__ = [
-    "PairVerdict",
     "catalan_scan",
     "scan_minus_match",
     "scan_base_match",
@@ -296,28 +294,12 @@ def scan_det_power_products(M_max: int, exp_max: int):
     return tuple(sorted(hits) for hits in shapes)
 
 
-@dataclass(frozen=True)
-class PairVerdict:
-    """Whether band counts m > n can share a nontrivial knot."""
-
-    m: int
-    n: int
-    admissible: bool
-    family: Optional[str] = None
-
-    def __post_init__(self):
-        if self.admissible and self.family is None:
-            raise ValueError("admissible verdicts carry a family tag")
-
-
-def admissible_pair(m: int, n: int) -> PairVerdict:
-    """Classify (m, n), m > n >= 1: admissible iff (3,1), (3,2) or (2n, n)."""
+def admissible_pair(m: int, n: int) -> Optional[str]:
+    """The family tag of (m, n), m > n >= 1, if band counts m and n can share
+    a nontrivial knot: "(3,1)", "(3,2)" or "(2n,n)"; None otherwise.
+    """
     if n < 1 or m <= n:
         raise ValueError("require m > n >= 1")
-    if (m, n) == (3, 1):
-        return PairVerdict(m, n, True, "(3,1)")
-    if (m, n) == (3, 2):
-        return PairVerdict(m, n, True, "(3,2)")
-    if m == 2 * n:
-        return PairVerdict(m, n, True, "(2n,n)")
-    return PairVerdict(m, n, False)
+    if (m, n) in ((3, 1), (3, 2)):
+        return f"({m},{n})"
+    return "(2n,n)" if m == 2 * n else None

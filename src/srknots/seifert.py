@@ -36,14 +36,21 @@ Every determinant comes from one fraction-free (Bareiss) elimination,
   sparse with huge span, go through `symbolic_det`, which eliminates the
   sparse entries as they are and never builds a dense or 2^K-packed one.
 
-The loop takes the ring's one, an exact division and a pivot key, and the
-two routes differ in the key (timings on a 2-core x86_64 VM, Python 3.11).
-Integer pencils take the first nonzero pivot: taking the entry with the
-fewest bits made the P side of m = 1, l = 120 take 4.7 s instead of
-0.005 s.  Laurent entries take the lowest-span pivot, which keeps the
-products with the pivot and the exact divisions by it narrow: on 12 sparse
-6x6 matrices with exponents in [-1000, 1000] it took 1.21 s in all against
-1.28 s for the first nonzero pivot, and was faster on 8 of them.
+The loop takes the ring's one and an exact division, and the two routes
+differ only in their ring: both take the first nonzero entry of a column as
+its pivot.  Timings, in-process on a 2-core x86_64 VM with Python 3.11:
+
+* integer pencils: the entry with the fewest bits made the P side of m = 1,
+  l = 120 take 4.7 s instead of 0.005 s;
+* Laurent entries: the lowest-span entry is often the cheaper pivot.  On
+  seeded random 6x6 matrices with exponents in [-1000, 1000] and 1-3 terms
+  per entry, 24 matrices at 60% density took 1.28-1.96 s against
+  0.84-1.02 s for the lowest-span pivot (four seeds), and 12 with every
+  entry nonzero 30.1-34.0 s against 26.8-30.0 s (two seeds).  Dense cubic
+  matrices of size 12 to 24 and pencils M - t M^T of those sizes took
+  about equal times, and the 3x3 matrix of span-10^6 binomials takes under
+  0.1 ms either way.  No benchmark workload sends `seifert det`, so the
+  Laurent route shares the integer route's rule rather than carry its own.
 
 The loop only updates the rows whose entry in the pivot column is nonzero.
 A row it skips keeps its old values and the divisor of its last update;
@@ -70,21 +77,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 from .laurent import LaurentPoly, NormalForm, divide_exact, normalize, parse
-from .srpoly import SRParams, _one_minus_t_power, _sign
+from .srpoly import _one_minus_t_power, _sign
 
 __all__ = [
     "FusionSigns",
-    "SeifertBlocks",
     "SeifertMatrix",
     "build_blocks",
     "parse_matrix",
     "parse_int_matrix",
     "symbolic_det",
-    "det_P_minus_tQT",
-    "det_Q_minus_tPT",
     "block_dets",
     "closed_form_dets",
     "reduced_form_dets",
@@ -135,21 +139,9 @@ class FusionSigns:
         """Sign of l; +1 for l = 0, where only its 0th power is ever used."""
         return -1 if self.l < 0 else 1
 
-    @property
-    def params(self) -> SRParams:
-        return SRParams(self.m, self.l, self.p)
 
-
-@dataclass(frozen=True)
-class SeifertBlocks:
-    """The two square integer blocks of one fusion, size m + |l|."""
-
-    P: IntMatrix
-    Q: IntMatrix
-
-
-def build_blocks(signs: FusionSigns) -> SeifertBlocks:
-    """Populate P and Q from the band signs and linking number.
+def build_blocks(signs: FusionSigns) -> tuple[IntMatrix, IntMatrix]:
+    """The pair (P, Q) of row tuples, from the band signs and linking number.
 
     Raises ValueError before allocating when m + |l| is above FUSION_SIZE.
     """
@@ -186,7 +178,7 @@ def build_blocks(signs: FusionSigns) -> SeifertBlocks:
             if i < k - 1:
                 Q[m + i][m + i + 1] = a
 
-    return SeifertBlocks(tuple(map(tuple, P)), tuple(map(tuple, Q)))
+    return tuple(map(tuple, P)), tuple(map(tuple, Q))
 
 
 # -- symbolic determinants ---------------------------------------------------
@@ -248,7 +240,7 @@ def _exact_poly(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return q
 
 
-def _bareiss(M: list[list], one, exact: Callable, pivot_key: Optional[Callable] = None):
+def _bareiss(M: list[list], one, exact: Callable):
     """Determinant of the square matrix M, by fraction-free (Bareiss) elimination.
 
     M holds rows of entries of an integral domain (ints, or LaurentPolys)
@@ -256,11 +248,10 @@ def _bareiss(M: list[list], one, exact: Callable, pivot_key: Optional[Callable] 
     returns a / b or raises ArithmeticError when b does not divide a.  Each
     step replaces an entry by (pivot * entry - head * pivot-row entry)
     divided exactly by the previous pivot, so no fractions arise.  The pivot
-    of a column is its first nonzero entry or, given `pivot_key`, its first
-    nonzero entry of least key; a row swap flips the sign.  A column with
-    no nonzero entry holds the ring's zero, which is the determinant.  Only
-    the rows with a nonzero entry in the pivot column are updated (see the
-    module docstring).
+    of a column is its first nonzero entry, in either ring; a row swap flips
+    the sign.  A column with no nonzero entry holds the ring's zero, which
+    is the determinant.  Only the rows with a nonzero entry in the pivot
+    column are updated (see the module docstring).
     """
     n = len(M)
     # Row i is stored as of its last update, whose divisor was last[i]; the
@@ -269,11 +260,7 @@ def _bareiss(M: list[list], one, exact: Callable, pivot_key: Optional[Callable] 
     sign = 1
     prev = one
     for k in range(n):
-        nonzero = (i for i in range(k, n) if M[i][k])
-        if pivot_key is None:
-            pivot_row = next(nonzero, -1)
-        else:
-            pivot_row = min(nonzero, key=lambda i: pivot_key(M[i][k]), default=-1)
+        pivot_row = next((i for i in range(k, n) if M[i][k]), -1)
         if pivot_row < 0:
             return M[k][k]
         if pivot_row != k:
@@ -303,7 +290,7 @@ def symbolic_det(matrix: Sequence[Sequence[Union[int, LaurentPoly]]]) -> Laurent
 
     This is the route for general Laurent matrices such as parsed
     `--matrix` text; integer entries are read as constants.  The entries go
-    into `_bareiss` as they are, sparse, with lowest-span pivots (see the
+    into `_bareiss` as they are, sparse, with first-nonzero pivots (see the
     module docstring).  A matrix above MATRIX_SIZE raises ValueError before
     the elimination.
     """
@@ -312,7 +299,7 @@ def symbolic_det(matrix: Sequence[Sequence[Union[int, LaurentPoly]]]) -> Laurent
         raise ValueError("matrix must be square")
     _check_matrix_size(n)
     rows = [[LaurentPoly.constant(x) if isinstance(x, int) else x for x in row] for row in matrix]
-    return _bareiss(rows, LaurentPoly.one(), _exact_poly, lambda entry: entry.span)
+    return _bareiss(rows, LaurentPoly.one(), _exact_poly)
 
 
 def _from_digits(value: int, K: int, degree: int) -> LaurentPoly:
@@ -377,19 +364,9 @@ def block_dets(signs: FusionSigns) -> tuple[LaurentPoly, LaurentPoly]:
 
     |Q - t P^T| is |P - t Q^T| read through `_transposed`.
     """
-    blocks = build_blocks(signs)
-    det_p = _pencil_det(blocks.P, blocks.Q)
-    return det_p, _transposed(det_p, len(blocks.P))
-
-
-def det_P_minus_tQT(signs: FusionSigns) -> LaurentPoly:
-    """|P - t Q^T|, by `block_dets`."""
-    return block_dets(signs)[0]
-
-
-def det_Q_minus_tPT(signs: FusionSigns) -> LaurentPoly:
-    """|Q - t P^T|, by `block_dets`."""
-    return block_dets(signs)[1]
+    P, Q = build_blocks(signs)
+    det_p = _pencil_det(P, Q)
+    return det_p, _transposed(det_p, len(P))
 
 
 # -- closed forms ------------------------------------------------------------
@@ -484,13 +461,14 @@ class SeifertMatrix(tuple):
     @classmethod
     def assemble(
         cls,
-        blocks: SeifertBlocks,
+        blocks: tuple[IntMatrix, IntMatrix],
         genus_block: Sequence[Sequence[int]],
         mid_fill: Sequence[Sequence[int]],
         right_fill: Sequence[Sequence[int]],
         bottom_fill: Sequence[Sequence[int]],
     ) -> "SeifertMatrix":
-        """Block layout (n = m + |l|, 2g = genus-block size):
+        """Block layout, from the pair (P, Q) of `build_blocks` (n = m + |l|,
+        2g = genus-block size):
 
             [ O_nn  P     O    ]
             [ Q     mid   right]
@@ -499,7 +477,8 @@ class SeifertMatrix(tuple):
         The zero blocks make the determinant of the pencil independent of the
         three fill blocks.
         """
-        n = len(blocks.P)
+        P, Q = blocks
+        n = len(P)
         g2 = len(genus_block)
         if any(len(row) != g2 for row in genus_block):
             raise ValueError("genus block must be square")
@@ -511,9 +490,9 @@ class SeifertMatrix(tuple):
             raise ValueError(f"bottom fill must be {g2}x{n}")
         rows = []
         for i in range(n):
-            rows.append((0,) * n + tuple(blocks.P[i]) + (0,) * g2)
+            rows.append((0,) * n + tuple(P[i]) + (0,) * g2)
         for i in range(n):
-            rows.append(tuple(blocks.Q[i]) + tuple(mid_fill[i]) + tuple(right_fill[i]))
+            rows.append(tuple(Q[i]) + tuple(mid_fill[i]) + tuple(right_fill[i]))
         for i in range(g2):
             rows.append((0,) * n + tuple(bottom_fill[i]) + tuple(genus_block[i]))
         return cls(tuple(rows))

@@ -17,10 +17,9 @@ from srknots.seifert import (
     SeifertMatrix,
     alexander_from_fusion,
     alexander_from_seifert,
+    block_dets,
     build_blocks,
     closed_form_dets,
-    det_P_minus_tQT,
-    det_Q_minus_tPT,
     reduced_form_dets,
 )
 from srknots.srpoly import (
@@ -119,8 +118,8 @@ def test_block_determinant_closed_forms():
     failures = []
     cases = 0
     for signs in sign_grid(5, 4):
-        det_p = det_P_minus_tQT(signs)
-        det_q = det_Q_minus_tPT(signs)
+        det_p = block_dets(signs)[0]
+        det_q = block_dets(signs)[1]
         closed_p, closed_q = closed_form_dets(signs)
         reduced_p, reduced_q = reduced_form_dets(signs)
         if not (det_p == closed_p == reduced_p):
@@ -136,7 +135,7 @@ def test_fusion_factor_consistency():
     failures = []
     for signs in sign_grid(5, 4):
         via_blocks = alexander_from_fusion(signs)
-        if not equal_up_to_unit(via_blocks, F_factor(signs.params)):
+        if not equal_up_to_unit(via_blocks, F_factor(SRParams(signs.m, signs.l, signs.p))):
             failures.append(f"{signs}: block route disagrees with factor formula")
 
     rng = random.Random(1234)
@@ -160,7 +159,7 @@ def test_fusion_factor_consistency():
             whole = alexander_from_seifert(assembled)
         except ValueError:
             continue  # genus block with vanishing determinant; redraw
-        expected = base * det_P_minus_tQT(signs) * det_Q_minus_tPT(signs)
+        expected = base * block_dets(signs)[0] * block_dets(signs)[1]
         if not equal_up_to_unit(whole, expected):
             failures.append(f"trial {trials}: assembled determinant mismatch")
         trials += 1

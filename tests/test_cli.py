@@ -327,6 +327,10 @@ class TestNtCommands:
         assert code == 0 and out == "admissible=true family=(2n,n)\n"
         code, out, _ = run(capsys, "nt", "pairs", "--m", "5", "--n", "3")
         assert code == 0 and out == "admissible=false\n"
+        code, out, _ = run(capsys, "nt", "pairs", "--m", "3", "--n", "1")
+        assert code == 0 and out == "admissible=true family=(3,1)\n"
+        code, out, _ = run(capsys, "nt", "pairs", "--m", "3", "--n", "2")
+        assert code == 0 and out == "admissible=true family=(3,2)\n"
 
     def test_catalan_scan(self, capsys):
         code, out, _ = run(capsys, "nt", "scan", "--family", "catalan", "--bounds", "10,10,5,5")

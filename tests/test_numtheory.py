@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from srknots import numtheory
+from srknots.laurent import normalize
 from srknots.numtheory import (
     _PRIMORIAL,
     _iroot,
@@ -18,6 +19,8 @@ from srknots.numtheory import (
     scan_minus_match,
     scan_plus_match,
 )
+from srknots.srpoly import F_factor, SRParams
+from srknots.srsearch import decompose
 
 
 @functools.cache
@@ -419,15 +422,14 @@ class TestDetPowerProducts:
         for hits in (s2, s3, s5, s6):
             for hit in hits:
                 m, n = max(hit[0], hit[1]), min(hit[0], hit[1])
-                assert admissible_pair(m, n).admissible, hit
+                assert admissible_pair(m, n) is not None, hit
 
 
 class TestAdmissiblePair:
     def test_examples(self):
-        assert admissible_pair(3, 1).admissible
-        assert admissible_pair(3, 1).family == "(3,1)"
-        assert admissible_pair(4, 2).family == "(2n,n)"
-        assert not admissible_pair(5, 3).admissible
+        assert admissible_pair(3, 1) == "(3,1)"
+        assert admissible_pair(4, 2) == "(2n,n)"
+        assert admissible_pair(5, 3) is None
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -438,5 +440,65 @@ class TestAdmissiblePair:
     def test_family_tag_accompanies_admissible(self):
         for m in range(2, 12):
             for n in range(1, m):
-                verdict = admissible_pair(m, n)
-                assert verdict.admissible == (verdict.family is not None)
+                assert admissible_pair(m, n) in (None, "(3,1)", "(3,2)", "(2n,n)")
+
+
+def pair_witnesses(m, poly, found):
+    """Add to `found` each pair (larger, smaller) of {m, n}, n != m, for which
+    poly, a product of m-band factors, has a certificate made only of n-band
+    factors.
+    """
+    for cert in decompose(poly):
+        bands = {prm.m for prm in cert}
+        if len(bands) == 1 and bands != {m}:
+            (n,) = bands
+            found.add((max(m, n), min(m, n)))
+
+
+def admitted(pairs):
+    return {pair for pair in pairs if admissible_pair(*pair) is not None}
+
+
+class TestPairTableFromTheSearch:
+    """The band-count table of `admissible_pair`, derived from `decompose`.
+
+    A pair (m, n) is witnessed when some product of m-band factors has a
+    certificate made only of n-band factors, with n on either side of m.
+    This is the paper's condition at the polynomial level: a witness does
+    not certify a knot, just as POLY_COMPATIBLE does not.
+    """
+
+    def test_single_factors(self):
+        found = set()
+        for m in range(2, 9):
+            for l in range(-12, 13):
+                for p in range(m + 1):
+                    f = F_factor(SRParams(m, l, p))
+                    if f.span:
+                        pair_witnesses(m, f, found)
+        assert found == admitted((m, n) for m in range(2, 9) for n in range(1, m))
+        # The named witnesses: F(3,-3,3) for (3,1) and (3,2), F(2n,-12,0) for (2n,n).
+        for n in (1, 2):
+            certs = decompose(F_factor(SRParams(3, -3, 3)))
+            assert any({prm.m for prm in cert} == {n} for cert in certs), n
+        for n in range(1, 5):
+            certs = decompose(F_factor(SRParams(2 * n, -12, 0)))
+            assert any({prm.m for prm in cert} == {n} for cert in certs), n
+
+    def test_two_factor_products(self):
+        # Products of two m-band factors, 2 <= m <= 7, |l| <= 8, span <= 64;
+        # here a product of two n-band factors may also be one 2n-band factor.
+        found = set()
+        count = 0
+        for m in range(2, 8):
+            factors = {F_factor(SRParams(m, l, p)) for l in range(-8, 9) for p in range(m + 1)}
+            factors = [f for f in factors if f.span]
+            for i, f in enumerate(factors):
+                for g in factors[i:]:
+                    if f.span + g.span <= 64:
+                        pair_witnesses(m, normalize(f * g), found)
+                        count += 1
+        assert count == 1394
+        pairs = ((m, n) for m in range(2, 65) for n in range(1, m) if {m, n} & set(range(2, 8)))
+        assert found == admitted(pairs)
+        assert found == {(3, 1), (3, 2)} | {(2 * n, n) for n in range(1, 8)}

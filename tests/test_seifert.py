@@ -20,8 +20,6 @@ from srknots.seifert import (
     block_dets,
     build_blocks,
     closed_form_dets,
-    det_P_minus_tQT,
-    det_Q_minus_tPT,
     reduced_form_dets,
     symbolic_det,
 )
@@ -44,8 +42,7 @@ class TestFusionSigns:
 
     def test_derived_values(self):
         signs = FusionSigns((1, -1, 1), -2)
-        assert signs.m == 3 and signs.p == 2 and signs.l_sign == -1
-        assert signs.params == SRParams(3, -2, 2)
+        assert (signs.m, signs.l, signs.p) == (3, -2, 2) and signs.l_sign == -1
 
 
 def value_row(sign):
@@ -84,20 +81,18 @@ class TestValueTable:
 
 class TestBuildBlocks:
     def test_two_negative_bands_no_linking(self):
-        blocks = build_blocks(FusionSigns((-1, -1), 0))
-        assert blocks.P == ((0, -1), (-1, 0))
-        assert blocks.Q == ((1, -1), (-1, 1))
+        P, Q = build_blocks(FusionSigns((-1, -1), 0))
+        assert P == ((0, -1), (-1, 0))
+        assert Q == ((1, -1), (-1, 1))
 
     def test_single_band_overlap_convention(self):
-        plus = build_blocks(FusionSigns((1,), 0))
-        assert plus.P == ((0,),) and plus.Q == ((1,),)
-        minus = build_blocks(FusionSigns((-1,), 0))
-        assert minus.P == ((-1,),) and minus.Q == ((0,),)
+        assert build_blocks(FusionSigns((1,), 0)) == (((0,),), ((1,),))
+        assert build_blocks(FusionSigns((-1,), 0)) == (((-1,),), ((0,),))
 
     def test_positive_linking_blocks(self):
-        blocks = build_blocks(FusionSigns((1, 1), 1))
-        assert blocks.P == ((-1, 1, 1), (1, -1, 0), (0, 1, 1))
-        assert blocks.Q == ((0, 1, 0), (1, 0, 1), (1, 0, 0))
+        P, Q = build_blocks(FusionSigns((1, 1), 1))
+        assert P == ((-1, 1, 1), (1, -1, 0), (0, 1, 1))
+        assert Q == ((0, 1, 0), (1, 0, 1), (1, 0, 0))
 
 
 class TestSymbolicDet:
@@ -171,10 +166,11 @@ class TestSymbolicDet:
         assert symbolic_det(m).is_zero
 
     def test_skipped_rows_come_back_stale(self):
-        # Row 1 has no entry in column 0, so the first step skips it; in
-        # column 1 its monomial has the lowest span, so it is the next pivot
-        # row and must first be brought up to date by the non-unit pivot
-        # 2 - t^-3.  Row 3 is skipped twice and updated at the third step.
+        # Row 1 has no entry in column 0, so the first step skips it; its
+        # monomial is the first nonzero entry in column 1, so it is the next
+        # pivot row, still stale, and must first be brought up to date by
+        # the non-unit pivot 2 - t^-3.  Row 3 is skipped twice and updated
+        # at the third step.
         z = LaurentPoly.zero()
         m = [
             [parse("2 - t^-3"), parse("t^4 + 1"), parse("t^-2"), parse("3 - t")],
@@ -322,16 +318,15 @@ class TestPencilDet:
     def test_every_grid_pattern_matches_sparse_route(self):
         count = 0
         for signs in sign_grid(5, 4):
-            blocks = build_blocks(signs)
+            P, Q = build_blocks(signs)
             # The bracket forms share no code with the elimination loop.
             reduced_p, reduced_q = reduced_form_dets(signs)
-            det_p = det_P_minus_tQT(signs)
+            det_p, det_q = block_dets(signs)
             assert det_p == reduced_p, signs
-            assert det_p == symbolic_det(laurent_pencil(blocks.P, blocks.Q)), signs
-            det_q = det_Q_minus_tPT(signs)
+            assert det_p == symbolic_det(laurent_pencil(P, Q)), signs
             assert det_q == reduced_q, signs
-            assert det_q == symbolic_det(laurent_pencil(blocks.Q, blocks.P)), signs
-            assert det_q == _pencil_det(blocks.Q, blocks.P), signs
+            assert det_q == symbolic_det(laurent_pencil(Q, P)), signs
+            assert det_q == _pencil_det(Q, P), signs
             count += 1
         assert count == 558
 
@@ -362,10 +357,10 @@ class TestPencilDet:
         # other side, and each side is the other one transposed.
         count = 0
         for signs in sign_grid(5, 12):
-            blocks = build_blocks(signs)
+            P, Q = build_blocks(signs)
             det_p, det_q = block_dets(signs)
-            assert det_p == _pencil_det(blocks.P, blocks.Q), signs
-            assert det_q == _pencil_det(blocks.Q, blocks.P), signs
+            assert det_p == _pencil_det(P, Q), signs
+            assert det_q == _pencil_det(Q, P), signs
             count += 1
         assert count == 62 * 25
 
@@ -374,7 +369,7 @@ class TestPencilDet:
         # the check fires, also under python -O.
         monkeypatch.setattr(seifert, "divmod", lambda a, b: (a // b, 1), raising=False)
         with pytest.raises(ArithmeticError):
-            det_P_minus_tQT(FusionSigns((1, -1), 2))
+            block_dets(FusionSigns((1, -1), 2))
 
 
 def sylvester_hadamard(n):
@@ -450,27 +445,24 @@ class TestClosedFormsAtPowerOfTwo:
         signs = FusionSigns((1, -1, -1), -5)
         closed_form_dets(signs)
         assert len(calls) == 2
-        det_P_minus_tQT(signs)
+        block_dets(signs)
         assert len(calls) == 3
 
 
 class TestBlockDeterminants:
     def test_single_band_values(self):
         plus = FusionSigns((1,), 0)
-        assert det_P_minus_tQT(plus) == parse("-t")
-        assert det_Q_minus_tPT(plus) == parse("1")
+        assert block_dets(plus) == (parse("-t"), parse("1"))
         minus = FusionSigns((-1,), 0)
-        assert det_P_minus_tQT(minus) == parse("-1")
-        assert det_Q_minus_tPT(minus) == parse("t")
+        assert block_dets(minus) == (parse("-1"), parse("t"))
 
     def test_reduced_form_example(self):
         signs = FusionSigns((-1, -1), 0)
-        assert det_Q_minus_tPT(signs) == parse("2*t - t^2")
+        assert block_dets(signs)[1] == parse("2*t - t^2")
 
     def test_closed_and_reduced_forms_on_grid(self):
         for signs in sign_grid(4, 3):
-            det_p = det_P_minus_tQT(signs)
-            det_q = det_Q_minus_tPT(signs)
+            det_p, det_q = block_dets(signs)
             closed_p, closed_q = closed_form_dets(signs)
             reduced_p, reduced_q = reduced_form_dets(signs)
             assert det_p == closed_p == reduced_p, signs
@@ -479,10 +471,7 @@ class TestBlockDeterminants:
     def test_sign_pattern_permutation_invariance(self):
         for base in ((1, 1, -1), (1, -1, -1), (1, -1, 1, -1)):
             for l in (-2, 0, 3):
-                dets = {
-                    (det_P_minus_tQT(FusionSigns(perm, l)), det_Q_minus_tPT(FusionSigns(perm, l)))
-                    for perm in set(itertools.permutations(base))
-                }
+                dets = {block_dets(FusionSigns(perm, l)) for perm in set(itertools.permutations(base))}
                 assert len(dets) == 1, (base, l)
 
 
@@ -507,7 +496,7 @@ class TestOneEliminationPerFusion:
         assert capsys.readouterr().out.endswith("agree=true\n")
         assert calls == {"build_blocks": 1, "_pencil_det": 1}
 
-    @pytest.mark.parametrize("func", [alexander_from_fusion, det_Q_minus_tPT, block_dets])
+    @pytest.mark.parametrize("func", [alexander_from_fusion, block_dets])
     def test_library_entry_points(self, calls, func):
         func(FusionSigns((1, -1), 2))
         assert calls == {"build_blocks": 1, "_pencil_det": 1}
@@ -534,8 +523,8 @@ class TestBudgets:
     def test_fusion_size(self):
         # At the budget both block shapes build, and one more is refused
         # before anything is allocated.
-        assert len(build_blocks(FusionSigns((1,), FUSION_SIZE - 1)).P) == FUSION_SIZE
-        assert len(build_blocks(FusionSigns((-1,) * FUSION_SIZE, 0)).Q) == FUSION_SIZE
+        assert len(build_blocks(FusionSigns((1,), FUSION_SIZE - 1))[0]) == FUSION_SIZE
+        assert len(build_blocks(FusionSigns((-1,) * FUSION_SIZE, 0))[1]) == FUSION_SIZE
         for signs in (FusionSigns((1,), -FUSION_SIZE), FusionSigns((1, -1), 10**12)):
             with pytest.raises(ValueError, match=f"above the budget of {FUSION_SIZE}"):
                 block_dets(signs)
@@ -570,7 +559,7 @@ class TestAlexanderFromFusion:
     def test_matches_factor_formula_on_grid(self):
         for signs in sign_grid(4, 3):
             via_blocks = alexander_from_fusion(signs)
-            assert via_blocks == F_factor(signs.params), signs
+            assert via_blocks == F_factor(SRParams(signs.m, signs.l, signs.p)), signs
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -642,6 +631,6 @@ class TestAssembledSeifertMatrix:
                 whole = alexander_from_seifert(assembled)
             except ValueError:
                 continue  # degenerate genus block with vanishing determinant
-            product = base * det_P_minus_tQT(signs) * det_Q_minus_tPT(signs)
+            product = base * block_dets(signs)[0] * block_dets(signs)[1]
             assert equal_up_to_unit(whole, product)
             trials += 1

@@ -413,6 +413,91 @@ class TestExactCoverOracle:
         assert len(decompose(dp)) != oracle_certificate_count(dp)
 
 
+def _times(a, b):
+    """The coefficient list of the product of two coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _unit_normal(coeffs):
+    """Trim zeros from both ends and make the lowest coefficient positive."""
+    kept = [i for i, c in enumerate(coeffs) if c]
+    body = coeffs[kept[0]:kept[-1] + 1]
+    return tuple(-c for c in body) if body[0] < 0 else tuple(body)
+
+
+def _box_factor(m, l, p):
+    """F(m, l, p) = f(t) f(1/t) with f = (1 - t)^m - (-t)^p t^l, from integer lists."""
+    s = p + l
+    low = min(0, s)
+    f = [0] * (max(m, s) - low + 1)
+    for k in range(m + 1):
+        f[k - low] += (-1) ** k * comb(m, k)
+    f[s - low] -= (-1) ** p
+    # f(1/t) t^(top) is f reversed, so the product is F up to a unit.
+    return _unit_normal(_times(f, f[::-1]))
+
+
+def box_products(span):
+    """Every fusion product of span at most `span`, 1 included, as coefficient tuples.
+
+    A factor of span at most S has m <= S/2 + 1 and |l| <= S + 2; units
+    are dropped, since they add no span and change no product.
+    """
+    factors = sorted({
+        _box_factor(m, l, p)
+        for m in range(1, span // 2 + 2)
+        for l in range(-span - 2, span + 3)
+        for p in range(m + 1)
+    } - {(1,)})
+    found = set()
+
+    def extend(start, cur):
+        found.add(cur)
+        for i in range(start, len(factors)):
+            if len(cur) + len(factors[i]) - 2 <= span:
+                extend(i, _unit_normal(_times(cur, factors[i])))
+
+    extend(0, (1,))
+    return found
+
+
+def box_polys(span, bound):
+    """Every normalized polynomial of span at most `span` with coefficients in
+    [-bound, bound] that equals its reverse up to sign, as a coefficient tuple.
+    """
+    for d in range(span + 1):
+        for head in itertools.product(range(1, bound + 1), *[range(-bound, bound + 1)] * (d // 2)):
+            for sign in (1, -1):
+                coeffs = tuple(head[k] if 2 * k <= d else sign * head[d - k] for k in range(d + 1))
+                if all(coeffs[k] == sign * coeffs[d - k] for k in range(d + 1)):
+                    yield coeffs
+
+
+class TestEveryVerdictInABox:
+    @pytest.mark.parametrize("span, bound", [(4, 12), (6, 6), (10, 3)])
+    def test_compatible_exactly_for_the_products(self, span, bound):
+        # (4, 12) is the only box that holds DELTA2_ONE_QUARTIC, whose middle
+        # coefficient is 11.  The products share no code with srknots.
+        products = box_products(span)
+        if span == 4:
+            assert tuple(DELTA2_ONE_QUARTIC.coeff(e) for e in range(5)) in products
+        wrong = []
+        seen = 0
+        for coeffs in box_polys(span, bound):
+            dp = normalize(LaurentPoly(dict(enumerate(coeffs))))
+            compatible = classify(dp).verdict is Verdict.POLY_COMPATIBLE
+            if compatible != (coeffs in products):
+                wrong.append(coeffs)
+            seen += coeffs in products
+        assert not wrong
+        # Every product with coefficients in the box was among the inputs.
+        assert seen == sum(max(map(abs, c)) <= bound for c in products)
+
+
 def counted_divisions(monkeypatch):
     """The divisor of each `divide_exact` call that `srsearch` makes from now on."""
     calls = []
