@@ -13,6 +13,11 @@ that the flag's type or choices reject or that argparse may read as an
 option, and argv that names no leaf; so help, usage and every error stay
 argparse's.  Either way `main` runs `args.command(args)`.  A command
 prints its result and returns None, or an exit code other than 0.
+
+`sr classify` writes its one line in pieces, as `srsearch.certificates`
+yields them, so its memory does not grow with the number of certificates.
+The search has checked every certificate before the first byte is
+written; after that only I/O can fail.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .seifert import (
     symbolic_det,
 )
 from .srpoly import SRParams, F_factor, parse_decomposition, product_formula
-from .srsearch import Verdict, classify
+from .srsearch import Obstruction, certificates, classify
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -108,10 +113,16 @@ def _sr_product(args) -> None:
 
 def _sr_classify(args) -> None:
     outcome = classify(normalize(parse(args.poly)))
-    if outcome.verdict is Verdict.POLY_COMPATIBLE:
-        print("POLY_COMPATIBLE certificates=" + ";".join(str(d) for d in outcome.decompositions))
-    else:
-        print(f"NOT_SR obstruction={outcome.obstruction.value}")
+    if isinstance(outcome, Obstruction):
+        print(f"NOT_SR obstruction={outcome.value}")
+        return
+    # The line can hold millions of triples but few distinct ones: each
+    # triple's text is formed once, and the line is written in pieces.
+    text = {prm: str(prm) for sol in outcome for aliases, _ in sol for prm in aliases}
+    certs = ("*".join([text[prm] for prm in cert]) or "1" for cert in certificates(outcome))
+    sys.stdout.write("POLY_COMPATIBLE certificates=" + next(certs))
+    sys.stdout.writelines(";" + cert for cert in certs)
+    sys.stdout.write("\n")
 
 
 def _knot_invariants(args) -> None:

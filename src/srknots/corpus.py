@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .invariants import delta2, knot_det
 from .laurent import NormalForm, parse
 from .srpoly import SRDecomposition, parse_decomposition, product_formula
-from .srsearch import Obstruction, SRClassification, Verdict, classify
+from .srsearch import Obstruction, classify
 
 __all__ = [
     "CorpusError",
@@ -155,15 +155,15 @@ def verify_record(record: KnotRecord) -> RecordReport:
     fact_ok = None
     if record.factorization is not None:
         fact_ok = product_formula(record.factorization) == dp
-    outcome: SRClassification = classify(dp)
-    wanted = Verdict.POLY_COMPATIBLE if record.sr else Verdict.NOT_SR
+    outcome = classify(dp)
+    obstruction = outcome if isinstance(outcome, Obstruction) else None
     return RecordReport(
         name=record.name,
         delta2_ok=d2_ok,
         det_ok=det_ok,
         factorization_ok=fact_ok,
-        classify_ok=outcome.verdict is wanted,
-        obstruction=outcome.obstruction,
+        classify_ok=(obstruction is None) == record.sr,
+        obstruction=obstruction,
     )
 
 

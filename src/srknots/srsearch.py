@@ -10,30 +10,35 @@ each pair, with spans from `factor_span`, forms only the factors whose
 closed-form values at t = -1 and 3 divide the input's, keeping no table,
 and peels by those that divide it.  Many triples share one factor
 polynomial (a key's aliases, their `mirror`s, and two pairs of keys more),
-so `_peel` runs over distinct polynomials and collects each solution as a
-tuple of divisor indices.  Two checks, independent of the search, then run
-over those solutions: the factor polynomials of each solution must multiply
-to the input, and each alias of a polynomial some solution uses must give
-that polynomial as its term-pair product.  Only then is each solution
-expanded into its alias certificates.  A certificate's product is its
+so `_peel` runs over distinct polynomials, the divisor classes, and
+collects each solution as a tuple of divisor indices.  Two checks,
+independent of the search, then run over those solutions: the factor
+polynomials of each solution must multiply to the input, and each alias of
+a polynomial some solution uses must give that polynomial as its term-pair
+product.  Only then are the solutions returned, in class form: each is one
+(sorted aliases, uses) pair per class.  A certificate's product is its
 solution's, the input, at a cost of one product per solution and one
 term-pair factor per alias, not one product per certificate.
+`certificates` alone expands solutions into certificates, one at a time
+and in canonical order; only a solution with several classes is sorted in
+memory.
 
 `classify` runs the obstruction pipeline: symmetry, the 2^s +- 1 test on
-delta2, the rigidity of delta2 = 1 polynomials, and finally the search.  A
-POLY_COMPATIBLE verdict only says the polynomial matches some fusion
-product; it never certifies that a knot with that polynomial is itself
-built from fusions.  NOT_SR verdicts are genuine obstructions.
+delta2, the rigidity of delta2 = 1 polynomials, and finally the search.  It
+returns the `Obstruction` that fired, a NOT_SR verdict, or the solutions,
+a POLY_COMPATIBLE one.  POLY_COMPATIBLE only says the polynomial matches
+some fusion product; it never certifies that a knot with that polynomial
+is itself built from fusions.  NOT_SR verdicts are genuine obstructions.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, product
 from math import prod
-from typing import Optional, Tuple
+from typing import Iterator, Union
 
 from .invariants import delta2, is_pm_power_product, symmetry_check
 from .laurent import LaurentPoly, NormalForm, divide_exact, eval_int, parse
@@ -42,12 +47,11 @@ from .srpoly import (
 )
 
 __all__ = [
-    "Verdict",
     "Obstruction",
-    "SRClassification",
     "DELTA2_ONE_QUARTIC",
     "MAX_SEARCH_SPAN",
     "decompose",
+    "certificates",
     "classify",
     "delta2_one_factors",
 ]
@@ -62,29 +66,11 @@ DELTA2_ONE_QUARTIC = parse("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
 MAX_SEARCH_SPAN = 64
 
 
-class Verdict(enum.Enum):
-    POLY_COMPATIBLE = "POLY_COMPATIBLE"
-    NOT_SR = "NOT_SR"
-
-
 class Obstruction(enum.Enum):
     ASYMMETRIC = "ASYMMETRIC"
     DELTA2_FACTOR = "DELTA2_FACTOR"
     DELTA2_ONE_FORM = "DELTA2_ONE_FORM"
     NO_DECOMPOSITION = "NO_DECOMPOSITION"
-
-
-@dataclass(frozen=True)
-class SRClassification:
-    verdict: Verdict
-    decompositions: Tuple[SRDecomposition, ...] = ()
-    obstruction: Optional[Obstruction] = None
-
-    def __post_init__(self):
-        if self.verdict is Verdict.NOT_SR and self.obstruction is None:
-            raise ValueError("NOT_SR requires an obstruction")
-        if self.verdict is Verdict.POLY_COMPATIBLE and not self.decompositions:
-            raise ValueError("POLY_COMPATIBLE requires at least one certificate")
 
 
 def _factor_value(m: int, s: int, par: int, h: int, x: int) -> int:
@@ -163,25 +149,26 @@ def _peel(divisors, cur: LaurentPoly, start: int, acc: list[int], quotients, sol
             acc.pop()
 
 
-def decompose(dp: NormalForm) -> list[SRDecomposition]:
-    """All multiset-distinct fusion decompositions of dp, canonically ordered.
+def decompose(dp: NormalForm) -> list[tuple[tuple[tuple[SRParams, ...], int], ...]]:
+    """Every fusion decomposition of dp, in class form, checked.
 
-    Each decomposition is the sorted tuple of its validated (m, l, p)
-    triples, and the list is in tuple order, which is canonical order.
+    A solution is a tuple of (sorted aliases, uses) pairs, one per divisor
+    class it uses, in the order of `_divisors`: its certificates are the
+    choices of `uses` aliases, with repetition, from each class.  Two
+    solutions never share a certificate, since a triple fixes its factor.
+    `certificates` expands solutions; nothing else does.
 
     An empty list is a proof that no decomposition exists.  `_peel` starts
     from the quotients of `_divisors`, divides only by its factors and
     collects each solution over distinct factor polynomials as a tuple of
-    divisor indices.  The checks then run over those solutions, and each
-    solution is expanded into one certificate per choice of aliases.
-    Targets wider than MAX_SEARCH_SPAN raise ValueError.
+    divisor indices.  Targets wider than MAX_SEARCH_SPAN raise ValueError.
 
-    Every certificate is checked independently of the divisions: the
-    product of each solution's factor polynomials must equal dp, and each
-    alias of a polynomial some solution uses must give it through
-    `product_formula`, the term-pair product.  Together these make every
-    certificate's term-pair product equal dp; a failure of either raises
-    ArithmeticError.
+    Both checks, independent of the divisions, run before the solutions are
+    returned: the product of each solution's factor polynomials must equal
+    dp, and each alias of a polynomial some solution uses must give it
+    through `product_formula`, the term-pair product.  Together these make
+    every certificate's term-pair product equal dp; a failure of either
+    raises ArithmeticError.
     """
     divisors = _divisors(dp)
     solutions: list[tuple[int, ...]] = []
@@ -198,14 +185,28 @@ def decompose(dp: NormalForm) -> list[SRDecomposition]:
         for prm in aliases:
             if product_formula(SRDecomposition((prm,))) != f:
                 raise ArithmeticError(f"alias {prm} does not regenerate {f}")
-    results = []
+    return [
+        tuple((divisors[idx][1], uses) for idx, uses in Counter(sol).items())
+        for sol in solutions
+    ]
+
+
+def certificates(solutions) -> Iterator[SRDecomposition]:
+    """The certificates of `decompose`'s solutions, one at a time, in canonical order.
+
+    A one-class solution's alias choices come from
+    `combinations_with_replacement` already sorted and are never held; a
+    solution with several classes is expanded and sorted on its own.
+    `heapq.merge` joins the solutions, which never share a certificate.
+    """
+    runs = []
     for sol in solutions:
-        picks = (
-            combinations_with_replacement(divisors[idx][1], k) for idx, k in Counter(sol).items()
-        )
-        results.extend(SRDecomposition(chain(*choice)) for choice in product(*picks))
-    results.sort()
-    return results
+        picks = [combinations_with_replacement(aliases, uses) for aliases, uses in sol]
+        if len(picks) == 1:
+            runs.append(map(SRDecomposition, picks[0]))
+        else:
+            runs.append(sorted(SRDecomposition(chain(*choice)) for choice in product(*picks)))
+    return heapq.merge(*runs)
 
 
 def _is_quartic_power(poly: LaurentPoly) -> bool:
@@ -229,21 +230,22 @@ def _is_quartic_power(poly: LaurentPoly) -> bool:
     return True
 
 
-def classify(dp: NormalForm) -> SRClassification:
-    """Obstruction pipeline ending in an exhaustive decomposition search."""
+def classify(dp: NormalForm) -> Union[Obstruction, list]:
+    """The obstruction that fires on dp, or `decompose`'s non-empty solutions.
+
+    The pipeline ends in the exhaustive search; its solutions come back
+    checked and in class form, for `certificates` to expand.
+    """
     if not symmetry_check(dp):
-        return SRClassification(Verdict.NOT_SR, obstruction=Obstruction.ASYMMETRIC)
+        return Obstruction.ASYMMETRIC
     d2 = delta2(dp)
     if d2 >= 1:
         compatible, _ = is_pm_power_product(d2)
         if not compatible:
-            return SRClassification(Verdict.NOT_SR, obstruction=Obstruction.DELTA2_FACTOR)
+            return Obstruction.DELTA2_FACTOR
     if d2 == 1 and not _is_quartic_power(dp):
-        return SRClassification(Verdict.NOT_SR, obstruction=Obstruction.DELTA2_ONE_FORM)
-    decs = decompose(dp)
-    if not decs:
-        return SRClassification(Verdict.NOT_SR, obstruction=Obstruction.NO_DECOMPOSITION)
-    return SRClassification(Verdict.POLY_COMPATIBLE, decompositions=tuple(decs))
+        return Obstruction.DELTA2_ONE_FORM
+    return decompose(dp) or Obstruction.NO_DECOMPOSITION
 
 
 def delta2_one_factors(max_m: int, max_abs_l: int) -> list[tuple[SRParams, LaurentPoly]]:

@@ -33,7 +33,7 @@ from srknots.srpoly import (
 from srknots.srsearch import (
     DELTA2_ONE_QUARTIC,
     Obstruction,
-    Verdict,
+    certificates,
     classify,
     decompose,
     delta2_one_factors,
@@ -87,18 +87,18 @@ def test_ten_crossing_classification():
     for record in records:
         outcome = classify(record.delta_prime)
         if record.name in NOT_SR_ROWS:
-            if outcome.verdict is not Verdict.NOT_SR:
+            if not isinstance(outcome, Obstruction):
                 failures.append(f"{record.name}: expected NOT_SR")
                 continue
-            if record.name in DELTA2_FACTOR_ROWS and outcome.obstruction is not Obstruction.DELTA2_FACTOR:
+            if record.name in DELTA2_FACTOR_ROWS and outcome is not Obstruction.DELTA2_FACTOR:
                 failures.append(f"{record.name}: expected DELTA2_FACTOR")
-            if record.name in DELTA2_ONE_ROWS and outcome.obstruction is not Obstruction.DELTA2_ONE_FORM:
+            if record.name in DELTA2_ONE_ROWS and outcome is not Obstruction.DELTA2_ONE_FORM:
                 failures.append(f"{record.name}: expected DELTA2_ONE_FORM")
         else:
-            if outcome.verdict is not Verdict.POLY_COMPATIBLE:
+            if isinstance(outcome, Obstruction):
                 failures.append(f"{record.name}: expected POLY_COMPATIBLE")
                 continue
-            if record.factorization not in outcome.decompositions:
+            if record.factorization not in certificates(outcome):
                 failures.append(f"{record.name}: stored factorization missing from certificates")
     sr_names = {r.name for r in records if r.sr}
     if sr_names & NOT_SR_ROWS or len(sr_names) + len(NOT_SR_ROWS) != 25:
@@ -252,7 +252,7 @@ def test_search_round_trip():
         count = rng.randint(1, 2)
         chosen = [rng.choice(pool) for _ in range(count)]
         target = product_formula(SRDecomposition(tuple(chosen)))
-        results = decompose(target)
+        results = list(certificates(decompose(target)))
         wanted = sorted((F_factor(prm) for prm in chosen), key=hash)
         recovered = [
             sorted((F_factor(prm) for prm in d), key=hash)

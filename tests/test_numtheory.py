@@ -20,7 +20,7 @@ from srknots.numtheory import (
     scan_plus_match,
 )
 from srknots.srpoly import F_factor, SRParams
-from srknots.srsearch import decompose
+from srknots.srsearch import certificates, decompose
 
 
 @functools.cache
@@ -448,7 +448,7 @@ def pair_witnesses(m, poly, found):
     poly, a product of m-band factors, has a certificate made only of n-band
     factors.
     """
-    for cert in decompose(poly):
+    for cert in certificates(decompose(poly)):
         bands = {prm.m for prm in cert}
         if len(bands) == 1 and bands != {m}:
             (n,) = bands
@@ -479,10 +479,10 @@ class TestPairTableFromTheSearch:
         assert found == admitted((m, n) for m in range(2, 9) for n in range(1, m))
         # The named witnesses: F(3,-3,3) for (3,1) and (3,2), F(2n,-12,0) for (2n,n).
         for n in (1, 2):
-            certs = decompose(F_factor(SRParams(3, -3, 3)))
+            certs = certificates(decompose(F_factor(SRParams(3, -3, 3))))
             assert any({prm.m for prm in cert} == {n} for cert in certs), n
         for n in range(1, 5):
-            certs = decompose(F_factor(SRParams(2 * n, -12, 0)))
+            certs = certificates(decompose(F_factor(SRParams(2 * n, -12, 0))))
             assert any({prm.m for prm in cert} == {n} for cert in certs), n
 
     def test_two_factor_products(self):

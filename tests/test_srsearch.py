@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -23,7 +24,7 @@ from srknots.srpoly import (
 from srknots.srsearch import (
     DELTA2_ONE_QUARTIC,
     Obstruction,
-    Verdict,
+    certificates,
     classify,
     decompose,
     delta2_one_factors,
@@ -36,7 +37,7 @@ def NF(text):
 
 class TestDecompose:
     def test_single_factor_with_aliases(self):
-        results = decompose(NF("2 - 5*t + 2*t^2"))
+        results = list(certificates(decompose(NF("2 - 5*t + 2*t^2"))))
         assert SRDecomposition((SRParams(2, 0, 0),)) in results
         assert all(len(d) == 1 for d in results)
         for d in results:
@@ -44,7 +45,7 @@ class TestDecompose:
             assert regen == parse("2 - 5*t + 2*t^2")
 
     def test_trivial_polynomial(self):
-        assert decompose(NF("1")) == [SRDecomposition()]
+        assert list(certificates(decompose(NF("1")))) == [SRDecomposition()]
 
     def test_no_decomposition(self):
         assert decompose(NF("6 - 13*t + 6*t^2")) == []
@@ -53,7 +54,7 @@ class TestDecompose:
         assert decompose(NF("2")) == []
 
     def test_results_are_sorted_and_unique(self):
-        results = decompose(NF("1 - 4*t + 10*t^2 - 16*t^3 + 19*t^4 - 16*t^5 + 10*t^6 - 4*t^7 + t^8"))
+        results = list(certificates(decompose(NF("1 - 4*t + 10*t^2 - 16*t^3 + 19*t^4 - 16*t^5 + 10*t^6 - 4*t^7 + t^8"))))
         assert results == sorted(results)
         assert len(results) == len(set(results))
         assert SRDecomposition((SRParams(1, 1, 1), SRParams(2, 0, 1))) in results
@@ -72,7 +73,7 @@ class TestDecompose:
         pairs = list(itertools.combinations_with_replacement(polys, 2))
         for fa, fb in pairs:
             target = normalize(fa * fb)
-            results = decompose(target)
+            results = list(certificates(decompose(target)))
             wanted = sorted([fa, fb], key=hash)
             recovered = [
                 sorted((F_factor(x) for x in d), key=hash)
@@ -85,31 +86,31 @@ class TestDecompose:
 class TestClassify:
     def test_delta2_factor_obstruction(self):
         outcome = classify(NF("2 - 6*t + 10*t^2 - 13*t^3 + 10*t^4 - 6*t^5 + 2*t^6"))
-        assert outcome.verdict is Verdict.NOT_SR
-        assert outcome.obstruction is Obstruction.DELTA2_FACTOR
+        assert isinstance(outcome, Obstruction)
+        assert outcome is Obstruction.DELTA2_FACTOR
 
     def test_delta2_one_form_obstruction(self):
         outcome = classify(
             NF("1 - 6*t + 15*t^2 - 24*t^3 + 29*t^4 - 24*t^5 + 15*t^6 - 6*t^7 + t^8")
         )
-        assert outcome.verdict is Verdict.NOT_SR
-        assert outcome.obstruction is Obstruction.DELTA2_ONE_FORM
+        assert isinstance(outcome, Obstruction)
+        assert outcome is Obstruction.DELTA2_ONE_FORM
 
     def test_asymmetric_obstruction(self):
         outcome = classify(NF("1 + 2*t"))
-        assert outcome.obstruction is Obstruction.ASYMMETRIC
+        assert outcome is Obstruction.ASYMMETRIC
 
     def test_no_decomposition_obstruction(self):
         # Symmetric, delta2 = 3 is a 2^s-1 value, but the only span-2 factor
         # polynomial fails to divide.
         outcome = classify(NF("5 - 11*t + 5*t^2"))
-        assert outcome.verdict is Verdict.NOT_SR
-        assert outcome.obstruction is Obstruction.NO_DECOMPOSITION
+        assert isinstance(outcome, Obstruction)
+        assert outcome is Obstruction.NO_DECOMPOSITION
 
     def test_poly_compatible_with_certificates(self):
         outcome = classify(NF("1 - 3*t + 5*t^2 - 7*t^3 + 5*t^4 - 3*t^5 + t^6"))
-        assert outcome.verdict is Verdict.POLY_COMPATIBLE
-        assert SRDecomposition((SRParams(2, 1, 2),)) in outcome.decompositions
+        assert not isinstance(outcome, Obstruction)
+        assert SRDecomposition((SRParams(2, 1, 2),)) in certificates(outcome)
 
     def test_wide_delta2_one_form_is_screened_promptly(self):
         # Symmetric, with value 2^(3n+1) at t = 2, so delta2 = 1, and a bit
@@ -120,7 +121,7 @@ class TestClassify:
         start = time.perf_counter()
         outcome = classify(dp)
         elapsed = time.perf_counter() - start
-        assert outcome.obstruction is Obstruction.DELTA2_ONE_FORM
+        assert outcome is Obstruction.DELTA2_ONE_FORM
         assert elapsed < 2, elapsed
 
     def test_quartic_screens_leave_the_exact_test_to_division(self):
@@ -138,12 +139,12 @@ class TestClassify:
     def test_quartic_power_passes_the_rigidity_gate(self):
         quartic = parse("1 - 6*t + 11*t^2 - 6*t^3 + t^4")
         squared = classify(normalize(quartic * quartic))
-        assert squared.verdict is Verdict.POLY_COMPATIBLE
+        assert not isinstance(squared, Obstruction)
 
     def test_trivial_polynomial_is_compatible(self):
         outcome = classify(NF("1"))
-        assert outcome.verdict is Verdict.POLY_COMPATIBLE
-        assert outcome.decompositions == (SRDecomposition(),)
+        assert not isinstance(outcome, Obstruction)
+        assert list(certificates(outcome)) == [SRDecomposition()]
 
 
 class TestDelta2OneFactors:
@@ -186,7 +187,7 @@ class TestRoundTripProperty:
             count = rng.randint(1, 2)
             chosen = [rng.choice(pool) for _ in range(count)]
             target = product_formula(SRDecomposition(tuple(chosen)))
-            results = decompose(target)
+            results = list(certificates(decompose(target)))
             wanted = sorted((F_factor(prm) for prm in chosen), key=hash)
             recovered = [
                 sorted((F_factor(prm) for prm in d), key=hash)
@@ -396,7 +397,7 @@ def oracle_certificate_count(target):
 class TestExactCoverOracle:
     def test_counts_match_decompose(self):
         for dp in screen_targets():
-            assert len(decompose(dp)) == oracle_certificate_count(dp), str(dp)
+            assert len(list(certificates(decompose(dp)))) == oracle_certificate_count(dp), str(dp)
 
     @pytest.mark.parametrize("lose", ["divisor", "alias"])
     def test_oracle_sees_a_lost_divisor_or_alias(self, monkeypatch, lose):
@@ -410,7 +411,7 @@ class TestExactCoverOracle:
 
         monkeypatch.setattr(srsearch, "_divisors", lossy)
         dp = product_formula(parse_decomposition("F(1,1,1)*F(2,0,1)*F(2,0,1)"))
-        assert len(decompose(dp)) != oracle_certificate_count(dp)
+        assert len(list(certificates(decompose(dp)))) != oracle_certificate_count(dp)
 
 
 def _times(a, b):
@@ -489,7 +490,7 @@ class TestEveryVerdictInABox:
         seen = 0
         for coeffs in box_polys(span, bound):
             dp = normalize(LaurentPoly(dict(enumerate(coeffs))))
-            compatible = classify(dp).verdict is Verdict.POLY_COMPATIBLE
+            compatible = not isinstance(classify(dp), Obstruction)
             if compatible != (coeffs in products):
                 wrong.append(coeffs)
             seen += coeffs in products
@@ -517,7 +518,7 @@ class TestPolynomialPeel:
         for count in (1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3):
             chosen = SRDecomposition(tuple(rng.choice(pool) for _ in range(count)))
             target = product_formula(chosen)
-            assert decompose(target) == _triple_by_triple_decompose(target), str(chosen)
+            assert list(certificates(decompose(target))) == _triple_by_triple_decompose(target), str(chosen)
 
     def test_candidate_table_groups_every_triple_once(self):
         for dp in screen_targets():
@@ -550,8 +551,61 @@ class TestPolynomialPeel:
         )
         target = product_formula(dec)
         assert target.span == 42
-        assert len(decompose(target)) == 288
+        assert len(list(certificates(decompose(target)))) == 288
         assert len(calls) <= 250
+
+
+class TestStreamedCertificates:
+    """`certificates` against the set the triple-by-triple peel finds, sorted."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "F(2,0,0)*F(2,0,0)*F(2,0,0)*F(3,-1,0)*F(3,-1,0)",  # one solution, two classes
+            "F(1,-1,1)*F(3,1,2)*F(3,2,1)",  # three solutions
+            "F(1,1,1)*F(2,0,1)*F(2,0,1)",  # one class, used three times
+        ],
+    )
+    def test_named_products(self, text):
+        target = product_formula(parse_decomposition(text))
+        expected = sorted(set(_triple_by_triple_decompose(target)))
+        assert list(certificates(decompose(target))) == expected
+
+    def test_seeded_products(self):
+        rng = random.Random(5)
+        pool = [prm for prm in _small_pool() if factor_span(prm) >= 2]
+        shapes = []
+        for count in (2, 2, 2, 3, 3, 3, 3, 3):
+            chosen = SRDecomposition(tuple(rng.choice(pool) for _ in range(count)))
+            target = product_formula(chosen)
+            solutions = decompose(target)
+            shapes.append([len(sol) for sol in solutions])
+            expected = sorted(set(_triple_by_triple_decompose(target)))
+            assert list(certificates(solutions)) == expected, str(chosen)
+        # Several solutions to merge, and solutions of one and of several classes.
+        assert max(map(len, shapes)) >= 3
+        assert {1, 2, 3, 4} <= {classes for shape in shapes for classes in shape}
+
+    def test_solutions_are_class_form(self):
+        target = product_formula(parse_decomposition("F(2,0,0)*F(2,0,0)*F(2,0,0)*F(3,-1,0)*F(3,-1,0)"))
+        ((first, second),) = decompose(target)
+        assert first[1] == 3 and SRParams(2, 0, 0) in first[0]
+        assert second[1] == 2 and SRParams(3, -1, 0) in second[0]
+        for aliases, _ in (first, second):
+            assert list(aliases) == sorted(set(aliases))
+
+    def test_first_certificates_of_a_large_power_stay_small(self):
+        # (2 - 5t + 2t^2)^32 has 435,897 certificates, about 400 MB as a list.
+        target = normalize(parse("2 - 5*t + 2*t^2") ** 32)
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(certificates(decompose(target)), 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first[0] == SRDecomposition((SRParams(1, -1, 1),) * 32)
+        assert first == sorted(set(first)) and len(first) == 10
+        assert peak < 4 * 2**20, peak
 
 
 class TestCertificateCheck:
@@ -570,7 +624,7 @@ class TestCertificateCheck:
             return normalize(true * parse("1 + t"))
 
         target = NF("2 - 5*t + 2*t^2")
-        assert SRDecomposition((self.ONE_ALIAS,)) in decompose(target)
+        assert SRDecomposition((self.ONE_ALIAS,)) in certificates(decompose(target))
         monkeypatch.setattr(srsearch, "product_formula", patched)
         with pytest.raises(ArithmeticError, match="does not regenerate"):
             decompose(target)
@@ -593,7 +647,7 @@ class TestCertificateCheck:
             return mul(a, b)
 
         monkeypatch.setattr(LaurentPoly, "__mul__", counted)
-        decs = decompose(target)
+        decs = list(certificates(decompose(target)))
         assert len(decs) == comb(6 + 12 - 1, 12) == 6188
         assert decs == sorted(decs)
         assert len(calls) <= 100
@@ -607,7 +661,7 @@ class TestCertificateCheck:
 
         monkeypatch.setattr(srsearch, "product_formula", counted)
         target = product_formula(parse_decomposition("F(1,-6,1)*F(1,4,0)*F(3,-5,0)*F(4,-4,4)"))
-        assert len(decompose(target)) == 288
+        assert len(list(certificates(decompose(target)))) == 288
         assert len(calls) <= 30
         assert all(len(dec) == 1 for dec in calls)
 
@@ -665,7 +719,7 @@ def test_a_search_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        assert len(classify(dp).decompositions) == 48
+        assert len(list(certificates(classify(dp)))) == 48
         assert gc.collect() == 0
     finally:
         gc.enable()
