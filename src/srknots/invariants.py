@@ -16,11 +16,12 @@ __all__ = ["delta2", "knot_det", "is_pm_power_product", "symmetry_check"]
 
 
 # Bits that dp(2) may hold before `delta2` forms it.  Deciding whether a
-# value of this many bits is a product of 2^s +- 1 takes up to about 2.6 s
-# (the slowest shape measured, (2^N - 1)(2^N + 1), read 1.4-1.8 s at
-# 200,000 bits, 2.2-2.6 s at 250,000 and 2.8-3.6 s at 300,000 on a shared
+# value of this many bits is a product of 2^s +- 1 takes up to about 2.3 s
+# (the slowest shape measured, (2^N - 1)(2^N + 1), read 1.1-1.4 s at
+# 200,000 bits, 1.7-2.3 s at 250,000 and 2.5-3.1 s at 300,000 on a shared
 # 2-core x86-64 VM under Python 3.11, nearly all of it in `_generators`),
-# and the `1 - t^100000 + t^200000` probe needs 200,003.
+# and the `1 - t^100000 + t^200000` probe, which needs 200,003 bits, reads
+# 0.33-0.45 s.
 DELTA2_BITS = 250_000
 
 
@@ -65,9 +66,11 @@ def symmetry_check(dp: NormalForm) -> bool:
     return normalize(dp.substitute_inverse()) == dp
 
 
-def _strike(flags: bytearray, start: int, step: int) -> None:
-    """Clear flags[start], flags[start + step], ... up to the sentinel."""
-    flags[start:-1:step] = bytes(len(range(start, len(flags) - 1, step)))
+# A modulus 2^k - 1 of at most this many bits, two 30-bit CPython digits,
+# is taken as one C-level remainder of n: against folding every modulus,
+# that cut classify_wide's p90 by 8%.  CPython's schoolbook division grows
+# with the modulus, so above it halving folds are cheaper.
+_DIRECT_BITS = 60
 
 
 def _generators(n: int) -> List[Tuple[int, int]]:
@@ -78,8 +81,8 @@ def _generators(n: int) -> List[Tuple[int, int]]:
     2^s - 1 with s even is (2^(s/2) - 1)(2^(s/2) + 1), so it is none, and
     neither is 2, which the caller strips.
 
-    Most s are struck before any big-int step, and each survivor costs a few
-    linear ones, not a full remainder:
+    Most s are struck before any big-int step, and each survivor costs one
+    cheap residue of n and no helper call:
 
     - Window.  For s >= top/2, where top is the bit length of n, n < 2^(2s)
       splits as hi * 2^s + lo with hi < 2^(top-s) <= 2^s.  Then 2^s - 1 | n
@@ -90,21 +93,33 @@ def _generators(n: int) -> List[Tuple[int, int]]:
       larger s is struck with it.
     - Closure.  The survivors are tested from s = 1 up, and a failed test
       strikes what it implies: 2^d +- 1 divides 2^(kd) +- 1 for odd k, so
-      if it does not divide n, that sign is struck at 3d, 5d, ...  The next
-      survivor is found with `bytearray.find`.
-    - Fold.  2^(2s) = 1 (mod 2^(2s) - 1), so splitting r at a multiple h of
-      2s and replacing it with (r mod 2^h) + (r >> h) keeps its class modulo
-      both 2^s - 1 and 2^s + 1.  Halving r this way down to 2s + 1 bits and
-      splitting it at s into lo and hi leaves lo + hi = n (mod 2^s - 1) and
-      lo - hi = n (mod 2^s + 1), so the exact test acts on s-bit values.
+      if it does not divide n, that sign is struck at 3d, 5d, ... by one
+      slice assignment from a zero buffer made once per scan.  The next
+      survivor is the first live minus s, or a live plus s at or below it,
+      found with two `bytearray.find` calls.
+    - Residue.  A survivor takes r = n (mod 2^k - 1), up to a multiple of
+      2^k - 1.  When only the minus test is live at s, as for nearly every
+      odd prime s once 3 does not divide n, k = s and 2^s - 1 | n exactly
+      when it divides r.  When the plus test is live, k = 2s, which both
+      2^s - 1 and 2^s + 1 divide; r splits at s into lo and hi, with
+      lo + hi = n (mod 2^s - 1) and lo - hi = n (mod 2^s + 1).  For
+      k <= _DIRECT_BITS, r is one C-level remainder.  Above it, r is
+      folded: 2^k = 1 (mod 2^k - 1), so splitting r at a multiple h of k
+      and replacing it with (r mod 2^h) + (r >> h) keeps its class.  Each
+      fold takes h just above half of r's bit length, which the loop carries
+      with one `bit_length` call per fold, and the folds stop at k + 1
+      bits, so the exact tests act on values of about k bits.
     """
     top = n.bit_length()
     # minus[s] (plus[s]): 2^s - 1 (2^s + 1) may divide n.  The last index,
-    # above top, is a sentinel that is never struck, so `find` always ends.
+    # `end`, above top, is a sentinel that is never struck, so `find` always
+    # ends.
     minus = bytearray(b"\0\1") * (top // 2 + 1) + b"\1"  # odd s only
     minus[1] = 0  # 2^1 - 1 = 1
     plus = bytearray([1]) * len(minus)
     plus[0] = 0
+    end = len(minus) - 1
+    zeros = memoryview(bytes(end))
     # Bit j lies in the window of every s >= max(j + 1, top - j), which is
     # j + 1 for j >= c and top - j below c.  So the lowest zero (one) bit at
     # or above c and the highest below c give the first s struck for minus
@@ -115,30 +130,47 @@ def _generators(n: int) -> List[Tuple[int, int]]:
     one_above = (high & -high).bit_length() + c
     zero_below = top - (low ^ ((1 << c) - 1)).bit_length() + 1
     one_below = top - low.bit_length() + 1
-    _strike(minus, min(zero_above, zero_below), 1)
-    _strike(plus, min(one_above, one_below), 1)
+    first = min(zero_above, zero_below)
+    minus[first:end] = zeros[first:]
+    first = min(one_above, one_below)
+    plus[first:end] = zeros[first:]
     found = []
     s = 0
     while True:
-        s = min(minus.find(1, s), plus.find(1, s))
-        if s > top:
+        next_minus = minus.find(1, s)
+        s = plus.find(1, s, next_minus + 1)
+        if s < 0:
+            # Only the minus test is live.  plus's sentinel is found when
+            # next_minus is minus's, so next_minus <= top here.
+            s = k = next_minus
+        elif s > top:
             return found
-        width = 2 * s
-        r = n
-        while r.bit_length() > width + 1:
-            h = -(-(r.bit_length() // 2) // width) * width
-            r = (r & ((1 << h) - 1)) + (r >> h)
-        lo, hi = r & ((1 << s) - 1), r >> s
-        if minus[s]:
-            if (lo + hi) % ((1 << s) - 1) == 0:
+        else:
+            k = 2 * s
+        if k <= _DIRECT_BITS:
+            r = n % ((1 << k) - 1)
+        else:
+            r, bits = n, top
+            while bits > k + 1:
+                h = -(-(bits >> 1) // k) * k
+                r = (r & ((1 << h) - 1)) + (r >> h)
+                bits = r.bit_length()
+        if k == s:
+            if r % ((1 << s) - 1) == 0:
                 found.append((s, (1 << s) - 1))
-            else:
-                _strike(minus, 3 * s, 2 * s)
-        if plus[s]:
+            elif 3 * s < end:
+                minus[3 * s : end : 2 * s] = zeros[: (end - s - 1) // (2 * s)]
+        else:
+            lo, hi = r & ((1 << s) - 1), r >> s
+            if minus[s]:
+                if (lo + hi) % ((1 << s) - 1) == 0:
+                    found.append((s, (1 << s) - 1))
+                elif 3 * s < end:
+                    minus[3 * s : end : k] = zeros[: (end - s - 1) // k]
             if (lo - hi) % ((1 << s) + 1) == 0:
-                found.append((2 * s, (1 << s) + 1))
-            else:
-                _strike(plus, 3 * s, 2 * s)
+                found.append((k, (1 << s) + 1))
+            elif 3 * s < end:
+                plus[3 * s : end : k] = zeros[: (end - s - 1) // k]
         s += 1
 
 

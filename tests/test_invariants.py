@@ -355,6 +355,51 @@ class TestPmDivisors:
                         )
         assert seen > 100
 
+    def test_values_of_wide_input_size(self):
+        # Odd values of 1,000-8,000 bits, the delta2 sizes of classify_wide:
+        # a random value times a prime q in (20,000, 24,000) with 2 a
+        # primitive root mod q, as its palindromes are built; 2^(2s) - 1;
+        # and products with the generators at s = 29, 30, 31, 59, 60, 61,
+        # whose moduli 2^s - 1 and 2^(2s) - 1 lie on both sides of the
+        # largest one taken as a single remainder.
+        def primitive_root_two(q):
+            odd_part, factors = q - 1, {2}
+            while odd_part % 2 == 0:
+                odd_part //= 2
+            d = 3
+            while d * d <= odd_part:
+                while odd_part % d == 0:
+                    factors.add(d)
+                    odd_part //= d
+                d += 2
+            factors.add(odd_part)
+            return all(pow(2, (q - 1) // r, q) != 1 for r in factors if r > 1)
+
+        primes = [20029, 20051, 20107]
+        assert all(all(q % d for d in range(2, 142)) and primitive_root_two(q) for q in primes)
+        assert 2 * 29 <= invariants._DIRECT_BITS < 61
+        rng = random.Random(37)
+        sides = [pm_value(s, sign) for s in (29, 30, 31, 59, 60, 61) for sign in (1, -1)]
+        values = []
+        for bits in (1000, 2000, 4000, 8000):
+            values.append((rng.getrandbits(bits - 15) | 1 << (bits - 15) | 1) * rng.choice(primes))
+            values.append((1 << bits) - 1)
+        for bits, group in ((1000, sides[0::3]), (3000, sides[1::3]), (6000, sides[2::3])):
+            n = (rng.getrandbits(bits) | 1) * rng.choice(primes)
+            for g in group:
+                n *= g
+            values.append(n)
+        found = set()
+        for n in values:
+            assert 1000 <= n.bit_length() <= 8200, n.bit_length()
+            self.assert_matches_reference(n)
+            found.update(_generators(n))
+        # Every generator among the sides was found, on both sides of the
+        # cutoff and by both tests.
+        for s in (29, 31, 59, 61):
+            assert {(s, pm_value(s, -1)), (2 * s, pm_value(s, 1))} <= found, s
+        assert {(60, pm_value(30, 1)), (120, pm_value(60, 1))} <= found
+
 
 def reference_pm_power_product(n):
     """Depth-first search over cofactors: the search the division chain replaced.

@@ -533,7 +533,7 @@ class TestPolynomialPeel:
 
     def test_aliases_do_not_repeat_divisions(self, monkeypatch):
         # Peeling each parameter triple on its own takes 1,784 divisions here;
-        # peeling each distinct factor polynomial once takes 73.
+        # peeling each distinct factor polynomial once takes 50.
         calls = counted_divisions(monkeypatch)
         dec = SRDecomposition((SRParams(1, -1, 1), SRParams(3, 1, 2), SRParams(3, 2, 1)))
         target = product_formula(dec)
@@ -544,7 +544,7 @@ class TestPolynomialPeel:
         # Screening every node's quotient against the whole candidate table
         # took 587 divisions here; screening the table once against the
         # target and peeling by its divisors from the screen's quotients
-        # takes 194.
+        # takes 80.
         calls = counted_divisions(monkeypatch)
         dec = SRDecomposition(
             (SRParams(1, -6, 1), SRParams(1, 4, 0), SRParams(3, -5, 0), SRParams(4, -4, 4))
